@@ -1,21 +1,3 @@
-"""Kernel selection: compiled extension if present, else pure Python.
+"""The package's two hot kernels: sparse monomial convolution and exact integer rank."""
 
-Set HOPFGENUS_PURE=1 to force the pure backend (used by the benchmark
-and by tests that compare the two implementations).
-"""
-
-import os
-
-if os.environ.get("HOPFGENUS_PURE") == "1":
-    from . import pure as _impl
-else:
-    try:
-        from . import _speedups as _impl
-    except ImportError:
-        from . import pure as _impl
-
-BACKEND = _impl.BACKEND
-monomial_degree = _impl.monomial_degree
-monomial_mul = _impl.monomial_mul
-mul_terms = _impl.mul_terms
-rank_bareiss = _impl.rank_bareiss
+from .pure import BACKEND, monomial_degree, monomial_mul, mul_terms, rank_bareiss

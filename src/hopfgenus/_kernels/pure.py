@@ -1,4 +1,4 @@
-"""Pure-Python reference kernels.
+"""Pure-Python kernels.
 
 Monomials are tuples of ``(gid, exponent)`` pairs sorted by ``gid``.
 A generator id packs ``(degree, family, index)`` into one integer:
@@ -9,9 +9,6 @@ so sorting by gid sorts by (degree, family, index) and the degree of a
 monomial is recoverable without any side table.  Coefficients are opaque
 Python objects (gmpy2.mpq, Fraction, float, complex); the kernels only
 add, multiply and compare them with zero.
-
-The compiled twin in ``_speedups.pyx`` implements the same functions;
-``hopfgenus._kernels`` picks whichever is importable.
 """
 
 BACKEND = "pure"

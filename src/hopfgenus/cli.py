@@ -213,8 +213,11 @@ def _parse_algebra(text, bound):
 
 
 def _cmd_tor(args, cfg):
+    # The algebra is truncated at --bound unless --degree is given on the
+    # command line; a negative bound reaches tor_via_bar's own check.
+    truncation = args.degree if args.degree is not None else max(args.bound, 0)
     try:
-        algebra = _parse_algebra(args.algebra, cfg["degree"])
+        algebra = _parse_algebra(args.algebra, truncation)
         table = homology.tor_via_bar(algebra, args.bound)
     except (ValueError, homology.TruncationError) as exc:
         raise CLIError("value-error", str(exc))

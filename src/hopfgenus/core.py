@@ -7,7 +7,9 @@ integer id (see ``_kernels.pure``).  The canonical text format is
 printer round-trip bit-exactly.
 
 Everything here is immutable-by-convention and pure: operations return
-new values and never mutate their inputs.
+new values and never mutate their inputs.  The one exception is
+``add_into``, the package's single sparse accumulation, which mutates
+only the accumulator dict its caller created.
 """
 
 import re
@@ -30,6 +32,76 @@ class ConstantTermError(ValueError):
 
 class ParseError(ValueError):
     pass
+
+
+class InvariantError(ArithmeticError):
+    """An internal algebraic identity (d^2 = 0, an integral dimension) failed."""
+
+
+def add_into(acc, terms, scale=None):
+    """Add ``scale * terms`` into the coefficient dict ``acc``; drop zeros.
+
+    ``terms`` is a dict or an iterable of (key, coefficient) pairs and is
+    only read; ``acc`` is mutated in place and returned, so pass only a
+    dict the caller created.  ``scale=None`` adds the coefficients as
+    they are, ``scale=-1`` negates them (for complex coefficients
+    ``-c`` and ``c * -1`` can differ in the sign of a zero part) and any
+    other scale multiplies them on the right.  Each key's coefficients
+    are summed in arrival order starting from ``0``, as the written-out
+    sum would be, so float and complex results are bit-identical to it.
+    """
+    items = terms.items() if isinstance(terms, dict) else terms
+    negate = scale is not None and scale == -1
+    get = acc.get
+    for k, c in items:
+        if negate:
+            c = -c
+        elif scale is not None:
+            c = c * scale
+        s = get(k, 0) + c
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+class LinearCombination:
+    """Finite linear combination: a dict from basis keys to nonzero coefficients.
+
+    Subclasses fix what the keys mean (monomials, compositions, words,
+    pairs of monomials) and add their own products.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = terms if terms is not None else {}
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def _coerce(self, other):
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return type(self)(add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return type(self)(add_into(dict(self.terms), other.terms, -1))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
 
 
 def gen_id(family, index, degree=None):
@@ -61,19 +133,17 @@ def gid_index(gid):
     return gid & _IDX_MASK
 
 
-class GradedPolynomial:
+class GradedPolynomial(LinearCombination):
     """Finite map from monomials to exact rational coefficients.
 
     The term dict maps sorted (gid, exponent) tuples to nonzero
     coefficients.  Coefficients are normally exact rationals but the
     arithmetic is coefficient-agnostic; float/complex coefficients are
-    used by the numerical genus deformations.
+    used by the numerical genus deformations.  Scalars added to or
+    subtracted from a polynomial act as constants.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @classmethod
     def zero(cls):
@@ -94,47 +164,21 @@ class GradedPolynomial:
         g = gen_id(family, index, degree)
         return cls({((g, 1),): Q(1) if coeff is None else coeff})
 
-    def is_zero(self):
-        return not self.terms
-
     def constant_term(self):
         return self.terms.get((), Q(0))
 
     def coefficient(self, mon):
         return self.terms.get(tuple(mon), Q(0))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, GradedPolynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        if not isinstance(other, GradedPolynomial):
-            other = GradedPolynomial.constant(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return GradedPolynomial(out)
+    def _coerce(self, other):
+        if isinstance(other, GradedPolynomial):
+            return other
+        return GradedPolynomial.constant(other)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedPolynomial):
-            other = GradedPolynomial.constant(other)
-        return self + (-other)
+    __radd__ = LinearCombination.__add__
 
     def __rsub__(self, other):
         return GradedPolynomial.constant(other) - self
@@ -206,7 +250,7 @@ class GradedPolynomial:
         """
         if cache is None:
             cache = {}
-        result = GradedPolynomial.zero()
+        result = {}
         for mon, coeff in self.terms.items():
             prod = GradedPolynomial.constant(coeff)
             for gid, e in mon:
@@ -220,8 +264,8 @@ class GradedPolynomial:
                     p = img**e
                     cache[key] = p
                 prod = prod * p
-            result = result + prod
-        return result
+            add_into(result, prod.terms)
+        return GradedPolynomial(result)
 
     def __repr__(self):
         return "GradedPolynomial(%s)" % format_polynomial(self)
@@ -264,10 +308,10 @@ class TruncatedSeries:
         return self.comps[d]
 
     def polynomial(self):
-        total = GradedPolynomial.zero()
+        total = {}
         for c in self.comps:
-            total = total + c
-        return total
+            add_into(total, c.terms)
+        return GradedPolynomial(total)
 
     def _check(self, other):
         if self.bound != other.bound:
@@ -301,13 +345,13 @@ class TruncatedSeries:
         D = self.bound
         out = []
         for k in range(D + 1):
-            acc = GradedPolynomial.zero()
+            acc = {}
             for i in range(k + 1):
                 a = self.comps[i]
                 b = other.comps[k - i]
                 if a.terms and b.terms:
-                    acc = acc + a * b
-            out.append(acc)
+                    add_into(acc, mul_terms(a.terms, b.terms, -1))
+            out.append(GradedPolynomial(acc))
         return TruncatedSeries(out)
 
     def inverse(self):
@@ -317,12 +361,12 @@ class TruncatedSeries:
         D = self.bound
         inv = [GradedPolynomial.one()]
         for k in range(1, D + 1):
-            acc = GradedPolynomial.zero()
+            acc = {}
             for j in range(1, k + 1):
                 a = self.comps[j]
                 if a.terms and inv[k - j].terms:
-                    acc = acc + a * inv[k - j]
-            inv.append(-acc)
+                    add_into(acc, mul_terms(a.terms, inv[k - j].terms, -1))
+            inv.append(-GradedPolynomial(acc))
         return TruncatedSeries(inv)
 
     def exp(self):
@@ -332,12 +376,12 @@ class TruncatedSeries:
         D = self.bound
         out = [GradedPolynomial.one()]
         for k in range(1, D + 1):
-            acc = GradedPolynomial.zero()
+            acc = {}
             for j in range(1, k + 1):
                 a = self.comps[j]
                 if a.terms and out[k - j].terms:
-                    acc = acc + (a * out[k - j]) * Q(j)
-            out.append(acc * Q(1, k))
+                    add_into(acc, mul_terms(a.terms, out[k - j].terms, -1), Q(j))
+            out.append(GradedPolynomial(acc) * Q(1, k))
         return TruncatedSeries(out)
 
     def log(self):
@@ -347,11 +391,11 @@ class TruncatedSeries:
         D = self.bound
         out = [GradedPolynomial.zero()]
         for k in range(1, D + 1):
-            acc = self.comps[k]
+            acc = dict(self.comps[k].terms)
             for j in range(1, k):
                 if out[j].terms and self.comps[k - j].terms:
-                    acc = acc - (out[j] * self.comps[k - j]) * Q(j, k)
-            out.append(acc)
+                    add_into(acc, mul_terms(out[j].terms, self.comps[k - j].terms, -1), -Q(j, k))
+            out.append(GradedPolynomial(acc))
         return TruncatedSeries(out)
 
     def __repr__(self):
@@ -536,14 +580,7 @@ def parse_polynomial(text, degree_of=None):
         c = Q(1) if coeff is None else coeff
         if sign < 0:
             c = -c
-        mon = tuple(sorted(gens.items()))
-        if c != 0:
-            prev = terms.get(mon, 0)
-            s = prev + c
-            if s == 0:
-                terms.pop(mon, None)
-            else:
-                terms[mon] = s
+        add_into(terms, ((tuple(sorted(gens.items())), c),))
         sign, coeff, gens, started = 1, None, {}, False
 
     while pos < n:

@@ -16,12 +16,14 @@ monomials in the odd d-classes of the tangent bundle.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import symm
 from .core import (
     GradedPolynomial,
     PowerSeries1,
     TruncatedSeries,
+    add_into,
     gen_id,
     gid_degree,
     parse_polynomial,
@@ -176,14 +178,11 @@ CATALOG = {
 
 
 def catalog_model(name):
-    """Look up 'CP2' or a binary product like 'CP1xCP1'."""
-    if name in CATALOG:
-        return CATALOG[name]()
-    if "x" in name:
-        left, _, right = name.partition("x")
-        if left in CATALOG and right in CATALOG:
-            return product(CATALOG[left](), CATALOG[right]())
-    raise KeyError("unknown manifold %r" % name)
+    """Look up 'CP2' or a product of catalog entries like 'CP1xCP1xCP2'."""
+    factors = name.split("x")
+    if not all(f in CATALOG for f in factors):
+        raise KeyError("unknown manifold %r" % name)
+    return reduce(product, (CATALOG[f]() for f in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +274,11 @@ def multiplicative_class(model, q_series):
     in_p = TruncatedSeries(comps).exp()
     images = _chern_images(model)
     cache = {}
-    total = GradedPolynomial.zero()
+    total = {}
     for comp in in_p.comps:
         in_e = symm.convert(symm.SymmFn(symm.P, comp), symm.E).value
-        total = total + model.reduce(in_e.substitute(images, cache))
-    return model.reduce(total)
+        add_into(total, model.reduce(in_e.substitute(images, cache)).terms)
+    return model.reduce(GradedPolynomial(total))
 
 
 def genus(model, q_series):
@@ -352,14 +351,7 @@ class DeformationParameters:
         return 2 * k
 
     def __add__(self, other):
-        out = self.as_dict()
-        for k, v in other.entries:
-            s = out.get(k, 0) + v
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return DeformationParameters.from_dict(out)
+        return DeformationParameters.from_dict(add_into(self.as_dict(), other.entries))
 
     @classmethod
     def zero(cls):
@@ -383,22 +375,23 @@ def deformation_exponential(model, params, include_ch1=True):
         (k, v) for k, v in params.entries if include_ch1 or k != 1
     ]
     kind = _numeric_kind([v for _, v in entries])
-    arg = GradedPolynomial.zero()
+    arg = {}
     for k, v in entries:
         ch = chern_character(model, k)
         if kind is not None:
             ch = ch.map_coefficients(kind)
-        arg = arg + ch * v
-    out = GradedPolynomial.one()
+        add_into(arg, (ch * v).terms)
+    arg = GradedPolynomial(arg)
+    power = GradedPolynomial.one()
     if kind is not None:
-        out = out.map_coefficients(kind)
-    power = out
+        power = power.map_coefficients(kind)
+    out = dict(power.terms)
     for m in range(1, model.dim_c + 1):
         power = model.reduce(power * arg) * (
             Q(1, m) if kind is None else 1.0 / m
         )
-        out = out + power
-    return out
+        add_into(out, power.terms)
+    return GradedPolynomial(out)
 
 
 def deform_genus(model, q_series, params, include_ch1=True):
@@ -546,9 +539,7 @@ def coassociativity_check(model, cls, bound):
                 for a1, a2 in splits
                 for m1 in range(m + 1)
             ]
-        for a1, a2 in splits:
-            key = (a1, a2)
-            prev = rhs.get(key)
-            rhs[key] = comp if prev is None else prev + comp
-    rhs = {k: v for k, v in rhs.items() if v.terms}
+        for key in splits:
+            add_into(rhs.setdefault(key, {}), comp.terms)
+    rhs = {k: GradedPolynomial(v) for k, v in rhs.items() if v}
     return lhs == rhs

@@ -20,6 +20,7 @@ tensor product).
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .core import InvariantError, add_into
 from .linalg import rank_rational
 from .qsymm import polynomial_hilbert
 from .rational import Q
@@ -27,6 +28,10 @@ from .rational import Q
 
 class TruncationError(ValueError):
     """Requested bound exceeds what the algebra truncation supports."""
+
+
+class BarDifferentialError(InvariantError):
+    """The bar differential does not square to zero (non-associative input)."""
 
 
 @dataclass(frozen=True)
@@ -67,23 +72,11 @@ class GradedAlgebraPresentation:
                 for k in range(n):
                     left = {}
                     for m, c in self.multiply(i, j):
-                        for r, c2 in self.multiply(m, k):
-                            left[r] = left.get(r, Q(0)) + c * c2
-                    right = {}
+                        add_into(left, self.multiply(m, k), c)
                     for m, c in self.multiply(j, k):
-                        for r, c2 in self.multiply(i, m):
-                            right[r] = right.get(r, Q(0)) + c * c2
+                        add_into(left, self.multiply(i, m), -c)
                     # compare away from the truncation edge only
-                    cap = self.truncation
-                    if any(
-                        v != right.get(r, 0)
-                        for r, v in left.items()
-                        if v != 0 and self.degrees[r] <= cap
-                    ) or any(
-                        v != left.get(r, 0)
-                        for r, v in right.items()
-                        if v != 0 and self.degrees[r] <= cap
-                    ):
+                    if any(self.degrees[r] <= self.truncation for r in left):
                         return False
         return True
 
@@ -180,14 +173,14 @@ def _apply_bar_d(A, word):
     eps = 0
     for i in range(len(word) - 1):
         eps += A.degrees[word[i]] + 1
-        sign = -1 if eps % 2 else 1
-        for k, c in A.multiply(word[i], word[i + 1]):
-            target = word[:i] + (k,) + word[i + 2 :]
-            v = out.get(target, Q(0)) + sign * c
-            if v == 0:
-                out.pop(target, None)
-            else:
-                out[target] = v
+        add_into(
+            out,
+            (
+                (word[:i] + (k,) + word[i + 2 :], c)
+                for k, c in A.multiply(word[i], word[i + 1])
+            ),
+            -1 if eps % 2 else None,
+        )
     return out
 
 
@@ -239,9 +232,11 @@ def tor_via_bar(A, bound):
             for w in src:
                 dd = {}
                 for mid, c in _apply_bar_d(A, w).items():
-                    for tgt, c2 in _apply_bar_d(A, mid).items():
-                        dd[tgt] = dd.get(tgt, Q(0)) + c * c2
-                assert all(v == 0 for v in dd.values()), "bar differential d^2 != 0"
+                    add_into(dd, _apply_bar_d(A, mid), c)
+                if dd:
+                    raise BarDifferentialError(
+                        "bar differential d^2 != 0 on word %r" % (w,)
+                    )
             r_out = _diff_rank(A, src, get_words(s - 1, t))
             r_in = _diff_rank(A, get_words(s + 1, t), src)
             d = len(src) - r_out - r_in

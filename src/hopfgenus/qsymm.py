@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .core import GradedPolynomial
+from .core import GradedPolynomial, InvariantError, LinearCombination, add_into, gen_id
 from .rational import Q
 from . import symm
 
@@ -40,13 +40,10 @@ def format_composition(alpha):
     return "(%s)" % ",".join(str(p) for p in alpha)
 
 
-class QSymmElement:
+class QSymmElement(LinearCombination):
     """Linear combination of monomial quasisymmetric functions M_alpha."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, alpha, coeff=None):
@@ -55,22 +52,6 @@ class QSymmElement:
     @classmethod
     def one(cls):
         return cls({(): Q(1)})
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a, 0) + c
-            if s == 0:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return QSymmElement(out)
-
-    def __sub__(self, other):
-        return self + QSymmElement({a: -c for a, c in other.terms.items()})
 
     def scale(self, s):
         if s == 0:
@@ -101,29 +82,19 @@ def _qs_words(alpha, beta):
     out = {}
     a, arest = alpha[0], alpha[1:]
     b, brest = beta[0], beta[1:]
-    for w, c in _qs_words(arest, beta):
-        k = (a,) + w
-        out[k] = out.get(k, 0) + c
-    for w, c in _qs_words(alpha, brest):
-        k = (b,) + w
-        out[k] = out.get(k, 0) + c
-    for w, c in _qs_words(arest, brest):
-        k = (a + b,) + w
-        out[k] = out.get(k, 0) + c
+    for head, left, right in ((a, arest, beta), (b, alpha, brest), (a + b, arest, brest)):
+        add_into(out, (((head,) + w, c) for w, c in _qs_words(left, right)))
     return tuple(sorted(out.items()))
 
 
 def quasi_shuffle(x, y):
     """Quasi-shuffle (stuffle) product on QSymm."""
-    out = QSymmElement()
+    out = {}
     for alpha, ca in x.terms.items():
         for beta, cb in y.terms.items():
             c = ca * cb
-            acc = {}
-            for w, mult in _qs_words(alpha, beta):
-                acc[w] = c * mult
-            out = out + QSymmElement(acc)
-    return out
+            add_into(out, ((w, c * mult) for w, mult in _qs_words(alpha, beta)))
+    return QSymmElement(out)
 
 
 def deconcatenation_coproduct(x):
@@ -133,13 +104,7 @@ def deconcatenation_coproduct(x):
     """
     out = {}
     for alpha, c in x.terms.items():
-        for i in range(len(alpha) + 1):
-            key = (alpha[:i], alpha[i:])
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+        add_into(out, (((alpha[:i], alpha[i:]), c) for i in range(len(alpha) + 1)))
     return out
 
 
@@ -151,21 +116,17 @@ def pairing(word, x):
 def symm_into_qsymm(f):
     """Inclusion Symm -> QSymm: m_lambda -> sum of distinct rearrangements."""
     f = symm.convert(f, symm.M)
-    out = QSymmElement()
+    out = {}
     for mon, coeff in f.value.terms.items():
         lam = symm.monomial_partition(mon)
-        for alpha in set(permutations(lam)):
-            out = out + QSymmElement.monomial(alpha, coeff)
-    return out
+        add_into(out, ((alpha, coeff) for alpha in set(permutations(lam))))
+    return QSymmElement(out)
 
 
-class NSymmElement:
+class NSymmElement(LinearCombination):
     """Element of the free associative algebra on generators Z_n."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @classmethod
     def word(cls, w, coeff=None):
@@ -175,32 +136,10 @@ class NSymmElement:
     def one(cls):
         return cls({(): Q(1)})
 
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            s = out.get(a, 0) + c
-            if s == 0:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return NSymmElement(out)
-
-    def __sub__(self, other):
-        return self + NSymmElement({a: -c for a, c in other.terms.items()})
-
     def __mul__(self, other):
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                k = w1 + w2
-                s = out.get(k, 0) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            add_into(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
         return NSymmElement(out)
 
     def __repr__(self):
@@ -212,16 +151,14 @@ class NSymmElement:
 
 def abelianize(x):
     """Ring map NSymm -> Symm sending the word (i_1,..,i_k) to h_{i1}...h_{ik}."""
-    out = GradedPolynomial.zero()
+    out = {}
     for word, c in x.terms.items():
         mon = {}
         for part in word:
-            from .core import gen_id
-
             g = gen_id("h", part)
             mon[g] = mon.get(g, 0) + 1
-        out = out + GradedPolynomial({tuple(sorted(mon.items())): c})
-    return symm.SymmFn(symm.H, out)
+        add_into(out, {tuple(sorted(mon.items())): c})
+    return symm.SymmFn(symm.H, GradedPolynomial(out))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +266,13 @@ def free_algebra_hilbert(profile, bound, flavor="associative"):
         lie = [0] * (bound + 1)
         for n in range(1, bound + 1):
             s = sum(d * lie[d] for d in range(1, n) if n % d == 0)
-            val = int(logA[n] * n - s)
-            assert val == logA[n] * n - s and val % n == 0
-            lie[n] = val // n
+            val = logA[n] * n - s
+            if val != int(val) or int(val) % n:
+                raise InvariantError(
+                    "free Lie dimension in degree %d is not an integer: %s / %d"
+                    % (n, val, n)
+                )
+            lie[n] = int(val) // n
         return lie
     if flavor == "polynomial-on-lyndon":
         counts = [0] * (bound + 1)

@@ -8,8 +8,6 @@ denominator, and both print as ``p/q`` or ``p``.
 
 try:
     from gmpy2 import mpq as Q
-
-    _EXACT_TYPES = None  # filled below
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Q
 

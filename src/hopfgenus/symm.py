@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
+from ._kernels import monomial_mul
 from .core import (
     GradedPolynomial,
+    LinearCombination,
     TruncatedSeries,
+    add_into,
     gen_id,
     gid_index,
     monomial_degree,
@@ -216,8 +219,7 @@ def _p_lambda_in_m(lam):
     for r in lam:
         nxt = {}
         for mu, c in acc.items():
-            for nu, mult in _p_times_m(r, mu).items():
-                nxt[nu] = nxt.get(nu, Q(0)) + c * mult
+            add_into(nxt, _p_times_m(r, mu), c)
         acc = nxt
     return tuple(sorted(acc.items()))
 
@@ -247,33 +249,30 @@ def _to_m(poly_in_p):
     out = {}
     for mon, coeff in poly_in_p.terms.items():
         lam = monomial_partition(mon)
-        for nu, c in _p_lambda_in_m(lam):
-            key = partition_monomial(M, nu)
-            s = out.get(key, Q(0)) + coeff * c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+        add_into(
+            out,
+            ((partition_monomial(M, nu), coeff * c) for nu, c in _p_lambda_in_m(lam)),
+        )
     return GradedPolynomial(out)
 
 
 def _from_m(poly_in_m):
-    out = GradedPolynomial.zero()
+    out = {}
     by_weight = {}
     for mon, coeff in poly_in_m.terms.items():
         by_weight.setdefault(monomial_degree(mon), {})[mon] = coeff
     for w, terms in by_weight.items():
         if w == 0:
-            out = out + GradedPolynomial({(): terms[()]})
+            add_into(out, {(): terms[()]})
             continue
         table = _m_in_p_weight(w)
         for mon, coeff in terms.items():
             lam = monomial_partition(mon)
-            for mu, c in table[lam].items():
-                out = out + GradedPolynomial(
-                    {partition_monomial(P, mu): coeff * c}
-                )
-    return out
+            add_into(
+                out,
+                ((partition_monomial(P, mu), coeff * c) for mu, c in table[lam].items()),
+            )
+    return GradedPolynomial(out)
 
 
 def convert(f, target):
@@ -333,46 +332,22 @@ def a_classes(D):
 # Hopf structure (coproduct in the E basis)
 
 
-class HopfTensor:
+class HopfTensor(LinearCombination):
     """Element of Symm (x) Symm: map (monomial, monomial) -> rational."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return HopfTensor(out)
-
-    def __sub__(self, other):
-        return self + HopfTensor({k: -c for k, c in other.terms.items()})
+    __slots__ = ()
 
     def __mul__(self, other):
-        from ._kernels import monomial_mul
-
         out = {}
         for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (monomial_mul(l1, l2), monomial_mul(r1, r2))
-                s = out.get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            add_into(
+                out,
+                (
+                    ((monomial_mul(l1, l2), monomial_mul(r1, r2)), c1 * c2)
+                    for (l2, r2), c2 in other.terms.items()
+                ),
+            )
         return HopfTensor(out)
-
-    def is_zero(self):
-        return not self.terms
 
 
 @lru_cache(maxsize=None)
@@ -389,25 +364,24 @@ def _coproduct_c(n):
 def coproduct(f):
     """Coproduct of a symmetric function, computed in the E basis."""
     f = convert(f, E)
-    result = HopfTensor()
+    result = {}
     for mon, coeff in f.value.terms.items():
         t = HopfTensor({((), ()): coeff})
         for gid, e in mon:
             dc = _coproduct_c(gid_index(gid))
             for _ in range(e):
                 t = t * dc
-        result = result + t
-    return result
+        add_into(result, t.terms)
+    return HopfTensor(result)
 
 
 def is_primitive(f):
     """True iff Delta f = f (x) 1 + 1 (x) f exactly."""
     f = convert(f, E)
-    delta = coproduct(f)
-    side = HopfTensor()
+    defect = dict(coproduct(f).terms)
     for mon, c in f.value.terms.items():
-        side = side + HopfTensor({(mon, ()): c, ((), mon): c})
-    return (delta - side).is_zero()
+        add_into(defect, {(mon, ()): c, ((), mon): c}, -1)
+    return not defect
 
 
 def coassociativity_defect(f):
@@ -419,24 +393,16 @@ def coassociativity_defect(f):
         out = {}
         for (l, r), c in delta.terms.items():
             inner = coproduct(SymmFn(E, GradedPolynomial({(l if side == 0 else r): Q(1)})))
-            for (m1, m2), c2 in inner.terms.items():
-                key = (m1, m2, r) if side == 0 else (l, m1, m2)
-                s = out.get(key, 0) + c * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            add_into(
+                out,
+                (
+                    ((m1, m2, r) if side == 0 else (l, m1, m2), c * c2)
+                    for (m1, m2), c2 in inner.terms.items()
+                ),
+            )
         return out
 
-    left = expand(0)
-    right = expand(1)
-    for k, c in right.items():
-        s = left.get(k, 0) - c
-        if s == 0:
-            left.pop(k, None)
-        else:
-            left[k] = s
-    return left
+    return add_into(expand(0), expand(1), -1)
 
 
 def primitive_space(k, model=BU_MOD_SO):
@@ -469,15 +435,15 @@ def primitive_space(k, model=BU_MOD_SO):
     for j, col in enumerate(cols):
         for i, c in col.items():
             matrix[i][j] = c
-    basis = linalg.nullspace(matrix, len(mons))
-    out = []
-    for vec in basis:
-        poly = GradedPolynomial.zero()
-        for mon, c in zip(mons, vec):
-            if c != 0:
-                poly = poly + GradedPolynomial({mon: c})
-        out.append(SymmFn(E, poly))
-    return out
+    return [SymmFn(E, poly) for poly in _nullspace_polynomials(matrix, mons)]
+
+
+def _nullspace_polynomials(matrix, mons):
+    """The nullspace basis vectors of ``matrix`` as polynomials over ``mons``."""
+    return [
+        GradedPolynomial(add_into({}, zip(mons, vec)))
+        for vec in linalg.nullspace(matrix, len(mons))
+    ]
 
 
 def _coproduct_p_monomial(mon):
@@ -504,17 +470,9 @@ def _primitive_space_odd_model(k):
     rows_index = {}
     cols = []
     for mon in mons:
-        defect = dict(_coproduct_p_monomial(mon))
-        for key in ((mon, ()), ((), mon)):
-            v = defect.get(key, Q(0)) - Q(1)
-            if v == 0:
-                defect.pop(key, None)
-            else:
-                defect[key] = v
+        defect = add_into(_coproduct_p_monomial(mon), {(mon, ()): Q(1), ((), mon): Q(1)}, -1)
         col = {}
         for key, c in defect.items():
-            if c == 0:
-                continue
             if key not in rows_index:
                 rows_index[key] = len(rows_index)
             col[rows_index[key]] = c
@@ -523,15 +481,9 @@ def _primitive_space_odd_model(k):
     for j, col in enumerate(cols):
         for i, c in col.items():
             matrix[i][j] = c
-    basis = linalg.nullspace(matrix, len(mons))
-    out = []
-    for vec in basis:
-        poly = GradedPolynomial.zero()
-        for mon, c in zip(mons, vec):
-            if c != 0:
-                poly = poly + GradedPolynomial({mon: c})
-        out.append(convert(SymmFn(P, poly), E))
-    return out
+    return [
+        convert(SymmFn(P, poly), E) for poly in _nullspace_polynomials(matrix, mons)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hopfgenus import cli
+from hopfgenus import homology as H
 
 
 def run(argv, capsys):
@@ -67,6 +68,18 @@ class TestTorCommand:
         code, out = run(["tor", "--algebra", "exterior:5", "--bound", "40", "--degree", "30"], capsys)
         assert code == 1
         assert json.loads(out)["code"] == "value-error"
+
+    def test_algebra_truncated_at_bound(self, capsys):
+        code, out = run(["tor", "--algebra", "exterior:5,9", "--bound", "40", "--format", "csv"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "s,t,total,dim"
+        # Tor is polynomial on generators of total degree 6 and 10
+        totals = [0] * 41
+        for line in lines[1:]:
+            s, t, total, dim = map(int, line.split(","))
+            totals[total] += dim
+        assert totals == H.predicted_polynomial_series([6, 10], 40)
 
     def test_unknown_kind(self, capsys):
         code, out = run(["tor", "--algebra", "divided:5", "--bound", "10"], capsys)

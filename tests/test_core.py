@@ -9,6 +9,7 @@ from hopfgenus.core import (
     ParseError,
     PowerSeries1,
     TruncatedSeries,
+    add_into,
     format_polynomial,
     gen_id,
     gid_degree,
@@ -16,6 +17,7 @@ from hopfgenus.core import (
     gid_index,
     parse_polynomial,
 )
+from hopfgenus.qsymm import NSymmElement, QSymmElement
 from hopfgenus.rational import Q
 
 
@@ -188,3 +190,43 @@ class TestPowerSeries1:
     def test_inverse(self):
         s = PowerSeries1([Q(1), Q(1), Q(0)])
         assert s.inverse().coeffs == [Q(1), Q(-1), Q(1)]
+
+
+class TestAddInto:
+    def test_drops_zeros_and_returns_the_accumulator(self):
+        acc = {"a": Q(1), "b": Q(2)}
+        out = add_into(acc, {"a": Q(-1), "c": Q(3)})
+        assert out is acc
+        assert acc == {"b": Q(2), "c": Q(3)}
+
+    def test_scales(self):
+        assert add_into({}, {"a": Q(1, 2), "b": Q(3)}, Q(4)) == {"a": Q(2), "b": Q(12)}
+        assert add_into({"a": Q(1)}, {"a": Q(1), "b": Q(2)}, -1) == {"b": Q(-2)}
+
+    def test_pairs_with_repeated_keys_cancel(self):
+        assert add_into({}, [("a", Q(1)), ("b", Q(0)), ("a", Q(-1))]) == {}
+
+    def test_mutates_only_its_accumulator(self):
+        terms = {"a": Q(1), "b": Q(-2)}
+        before = dict(terms)
+        acc = {"b": Q(2)}
+        add_into(acc, terms, Q(3))
+        add_into(acc, terms, -1)
+        assert terms == before
+        assert acc == {"a": Q(2), "b": Q(-2)}
+
+    def test_float_sums_in_arrival_order(self):
+        out = add_into({}, [("k", 0.1), ("k", 0.2), ("k", 0.3)])
+        assert out["k"] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+    def test_linear_combinations_share_add_and_sub(self):
+        a = QSymmElement({(1, 2): Q(1), (3,): Q(2)})
+        b = QSymmElement({(3,): Q(2)})
+        assert (a - b) == QSymmElement({(1, 2): Q(1)})
+        assert (a - a).is_zero() and not (a - a)
+        assert -a + a == QSymmElement()
+        assert NSymmElement(dict(a.terms)) != a
+        p = poly("c[1] + 2*c[2]")
+        assert p + 1 == 1 + p == poly("1 + c[1] + 2*c[2]")
+        assert 1 - p == poly("1 - c[1] - 2*c[2]")
+        assert type(a + b) is QSymmElement and type(p - p) is GradedPolynomial

@@ -47,6 +47,18 @@ class TestManifoldModels:
         with pytest.raises(KeyError):
             G.catalog_model("K3")
 
+    def test_catalog_n_fold_products(self):
+        m = G.catalog_model("CP1xCP1xCP1")
+        assert m.dim_c == 3
+        assert m.betti_numbers() == [1, 0, 3, 0, 3, 0, 1]
+        assert G.genus(m, G.todd_series(4)) == 1
+        assert G.genus(m, G.a_hat_series(4)) == G.genus(G.cp(1), G.a_hat_series(4)) ** 3
+        cube = G.catalog_model("CP2xCP2xCP2")
+        assert G.genus(cube, G.a_hat_series(7)) == Q(-1, 8) ** 3
+        for name in ("CP1xCP1xK3", "CP1xxCP1", "CP1x"):
+            with pytest.raises(KeyError):
+                G.catalog_model(name)
+
     def test_json_roundtrip(self):
         js = {
             "name": "myCP1",

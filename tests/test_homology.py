@@ -75,6 +75,19 @@ class TestTorViaBar:
         with pytest.raises(H.TruncationError):
             H.tor_via_bar(H.exterior_algebra([5], 12), 18)
 
+    def test_non_associative_product_breaks_d_squared(self):
+        # x.x = y and x.y = z but y.x = 0, so (xx)x = 0 != z = x(xx)
+        a = H.GradedAlgebraPresentation(
+            ("1", "x", "y", "z"),
+            (0, 1, 2, 3),
+            {(1, 1): ((2, Q(1)),), (1, 2): ((3, Q(1)),)},
+            6,
+        )
+        assert not a.is_associative()
+        with pytest.raises(H.BarDifferentialError) as err:
+            H.tor_via_bar(a, 6)
+        assert isinstance(err.value, ArithmeticError)
+
     def test_polynomial_below_word_counts(self):
         poly = H.predicted_polynomial_series([6, 10], 22)
         words = H.word_series([6, 10], 22)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgenus import qsymm, symm
-from hopfgenus.core import parse_polynomial
+from hopfgenus.core import InvariantError, parse_polynomial
 from hopfgenus.qsymm import (
     GeneratorProfile,
     NSymmElement,
@@ -165,6 +165,18 @@ class TestHilbert:
     def test_lie_witt(self):
         dims = free_algebra_hilbert(GeneratorProfile.all_positive(), 6, "lie")
         assert dims == [0, 1, 1, 2, 3, 6, 9]
+
+    def test_lie_integrality_is_checked(self, monkeypatch):
+        log_series = qsymm._log_int_series
+
+        def off_by_a_third(coeffs, bound):
+            out = log_series(coeffs, bound)
+            out[2] += Q(1, 3)
+            return out
+
+        monkeypatch.setattr(qsymm, "_log_int_series", off_by_a_third)
+        with pytest.raises(InvariantError):
+            free_algebra_hilbert(GeneratorProfile.all_positive(), 4, "lie")
 
     def test_profile_from_text(self):
         assert GeneratorProfile.from_text("odd:3").weights_upto(9) == [3, 5, 7, 9]

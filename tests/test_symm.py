@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgenus import symm
-from hopfgenus.core import GradedPolynomial, gen_id, parse_polynomial
+from hopfgenus.core import GradedPolynomial, TruncatedSeries, gen_id, parse_polynomial
 from hopfgenus.rational import Q
 
 
@@ -162,3 +162,52 @@ class TestArithmetic:
         direct = symm.convert(a * b, symm.P)
         indirect = symm.convert(a, symm.P) * symm.convert(b, symm.P)
         assert direct == indirect
+
+
+def _snapshot_caches():
+    return (
+        dict(symm._gen_table(symm.P, symm.E, 5).terms),
+        {
+            pair: {key: dict(p.terms) for key, p in cache.items()}
+            for pair, cache in symm._SUBST_CACHE.items()
+        },
+        dict(symm._coproduct_c(4).terms),
+    )
+
+
+class TestNoAliasing:
+    """Accumulation mutates only dicts the operation created itself."""
+
+    def test_series_inputs_and_shared_tables_are_untouched(self):
+        series = TruncatedSeries(
+            [GradedPolynomial.one()]
+            + [GradedPolynomial.generator("c", k, coeff=Q(k, 3)) for k in range(1, 7)]
+        )
+        comps = [dict(c.terms) for c in series.comps]
+        f = symm.SymmFn(symm.P, parse_polynomial("N[5] + 2*N[2]*N[3] - N[1]^4"))
+        symm.convert(f, symm.E)
+        symm.coproduct(symm.SymmFn(symm.E, parse_polynomial("c[4] + c[2]^2")))
+        before = _snapshot_caches()
+
+        log = series.log()
+        log.exp()
+        series.inverse()
+        series * series
+        series.polynomial()
+        images = {gen_id("c", k): series.comps[k] for k in range(1, 7)}
+        parse_polynomial("c[1]^2 + 3*c[2]*c[4] - c[6]").substitute(images)
+        for basis in (symm.E, symm.H, symm.M):
+            symm.convert(symm.convert(f, basis), symm.P)
+        g = symm.SymmFn(symm.E, parse_polynomial("c[4] - 2*c[1]*c[3] + c[2]^2"))
+        symm.coproduct(g)
+        symm.is_primitive(g)
+        symm.coassociativity_defect(g)
+        symm.primitive_space(4, symm.BU)
+
+        assert [dict(c.terms) for c in series.comps] == comps
+        assert log.comps[1].terms is not series.comps[1].terms
+        gen, subst, dc = _snapshot_caches()
+        assert gen == before[0] and dc == before[2]
+        for pair, cache in before[1].items():
+            # later conversions may add powers, but never change one
+            assert {key: subst[pair][key] for key in cache} == cache
