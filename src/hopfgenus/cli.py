@@ -177,9 +177,8 @@ def _cmd_mzv(args, cfg):
         idx = qsymm.parse_composition(args.index)
     except ValueError as exc:
         raise CLIError("parse-error", str(exc), 2)
-    error = args.error if args.error is not None else cfg["error"]
     try:
-        enc = mzv.mzv_eval(idx, error)
+        enc = mzv.mzv_eval(idx, cfg["error"])
     except mzv.DivergentIndexError as exc:
         raise CLIError("divergent-index", str(exc))
     except mzv.PrecisionError as exc:
@@ -369,7 +368,12 @@ def _add_common(sub):
     sub.add_argument("--degree", type=int, help="truncation degree")
     sub.add_argument("--error", type=float, help="float target error")
     sub.add_argument("--model", choices=MODELS, help="generator-start convention")
-    sub.add_argument("--format", choices=FORMATS, help="output format")
+    sub.add_argument(
+        "--format",
+        choices=FORMATS,
+        help="output format; symm, mzv, genus and coaction print their JSON"
+        " report for every format",
+    )
     sub.add_argument("--output", help="output path (default stdout)")
 
 
@@ -399,8 +403,7 @@ def build_parser():
     s = subs.add_parser("mzv", help="certified multizeta evaluation")
     s.add_argument("action", choices=["eval"])
     s.add_argument("--index", required=True)
-    s.add_argument("--error", type=float, dest="error")
-    _add_common_minus_error(s)
+    _add_common(s)
     s.set_defaults(fn=_cmd_mzv)
 
     s = subs.add_parser("tor", help="bar-complex Tor tables")
@@ -442,14 +445,6 @@ def build_parser():
     s.set_defaults(fn=_cmd_acceptance)
 
     return p
-
-
-def _add_common_minus_error(sub):
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--degree", type=int, help="truncation degree")
-    sub.add_argument("--model", choices=MODELS, help="generator-start convention")
-    sub.add_argument("--format", choices=FORMATS, help="output format")
-    sub.add_argument("--output", help="output path (default stdout)")
 
 
 def main(argv=None):

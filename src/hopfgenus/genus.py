@@ -4,8 +4,9 @@ Manifold models carry a truncated-polynomial cohomology ring, the total
 Chern class of the (stably complex) tangent bundle and a volume monomial
 for the fundamental-class pairing.  Genera are evaluated without ever
 introducing Chern roots: the multiplicative class of a characteristic
-series Q is exp(sum_m l_m N_m) with l = log Q, converted to the Chern
-basis and specialized to the model's Chern data.
+series Q is exp(sum_m l_m N_m(tau)) with l = log Q: the linear argument
+is converted to the Chern basis, specialized to the model's Chern data
+and exponentiated in the model's cohomology ring.
 
 The deformation torsor acts by multiplying the multiplicative class with
 exp(sum_k t_k ch_k(tau)), k odd; parameters add, so the action is a
@@ -22,7 +23,6 @@ from . import symm
 from .core import (
     GradedPolynomial,
     PowerSeries1,
-    TruncatedSeries,
     add_into,
     gen_id,
     gid_degree,
@@ -151,19 +151,59 @@ def embed_factor(model, which, cls):
     return cls.substitute(images) if images else cls
 
 
+def _json_field(d, key, kind):
+    if key not in d:
+        raise ValueError("missing key %r" % key)
+    v = d[key]
+    # bool is an int subclass, but true/false is never a valid number here
+    if not isinstance(v, kind) or isinstance(v, bool):
+        raise ValueError("%r must be of type %s, got %r" % (key, kind.__name__, v))
+    return v
+
+
 def manifold_from_json(text_or_dict):
-    """Load a model from the JSON presentation format."""
+    """Load a model from the JSON presentation format.
+
+    Raises ValueError unless the generators are distinct single letters
+    of even positive degree with nilpotency at least 1, and the volume
+    monomial is the product of their top powers, of real degree 2*dim_c
+    (so the ring vanishes above that degree).
+    """
     d = json.loads(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
-    degs = {g["sym"]: g["deg"] for g in d["generators"]}
-    degree_of = lambda fam, idx: degs[fam]
-    gens = tuple(
-        (g["sym"], gen_id(g["sym"], 1, g["deg"]), g["deg"], g["nilpotency"])
-        for g in d["generators"]
-    )
-    chern = parse_polynomial(d["total_chern"], degree_of)
-    vol = parse_polynomial(d["volume_monomial"], degree_of)
-    (vol_mon,) = vol.terms
-    return ManifoldModel(d["name"], d["dim_c"], gens, chern, vol_mon)
+    if not isinstance(d, dict):
+        raise ValueError("a manifold must be a JSON object")
+    name = _json_field(d, "name", str)
+    dim_c = _json_field(d, "dim_c", int)
+    gens = []
+    degs = {}
+    for g in _json_field(d, "generators", list):
+        if not isinstance(g, dict):
+            raise ValueError("a generator must be a JSON object: %r" % (g,))
+        sym = _json_field(g, "sym", str)
+        deg = _json_field(g, "deg", int)
+        nil = _json_field(g, "nilpotency", int)
+        if len(sym) != 1 or not sym.isalpha() or sym in degs:
+            raise ValueError("generator symbols must be distinct single letters: %r" % sym)
+        if deg <= 0 or deg % 2:
+            raise ValueError("generator %s: degree must be even and positive: %d" % (sym, deg))
+        if nil < 1:
+            raise ValueError("generator %s: nilpotency must be at least 1: %d" % (sym, nil))
+        degs[sym] = deg
+        gens.append((sym, gen_id(sym, 1, deg), deg, nil))
+
+    def degree_of(fam, idx):
+        if fam not in degs or idx != 1:
+            raise ValueError("unknown generator %s[%d]" % (fam, idx))
+        return degs[fam]
+
+    chern = parse_polynomial(_json_field(d, "total_chern", str), degree_of)
+    vol = parse_polynomial(_json_field(d, "volume_monomial", str), degree_of)
+    top = tuple(sorted((gid, nil) for _, gid, _, nil in gens))
+    if vol.terms != {top: 1}:
+        raise ValueError("the volume monomial must be the product of each generator's top power")
+    if sum(deg * nil for _, _, deg, nil in gens) != 2 * dim_c:
+        raise ValueError("the volume monomial must have real degree 2*dim_c = %d" % (2 * dim_c))
+    return ManifoldModel(name, dim_c, tuple(gens), chern, top)
 
 
 CATALOG = {
@@ -201,17 +241,21 @@ def _chern_images(model, conjugate=False, upto=None):
     return images
 
 
+def _newton_classes(model, poly, conjugate=False):
+    """A polynomial in the Newton classes N_m, evaluated on tau's Chern classes."""
+    in_e = symm.convert(symm.SymmFn(symm.P, poly), symm.E).value
+    out = in_e.substitute(_chern_images(model, conjugate, upto=poly.max_degree()))
+    return model.reduce(out)
+
+
 def chern_character(model, k, conjugate=False):
     """ch_k(tau) = N_k(c_1,...,c_k)/k! in the model's cohomology."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return GradedPolynomial.constant(Q(model.dim_c))
-    nk = symm.convert(
-        symm.SymmFn(symm.P, GradedPolynomial.generator("N", k)), symm.E
-    ).value
-    out = nk.substitute(_chern_images(model, conjugate, upto=k))
-    return model.reduce(out) * Q(1, math.factorial(k))
+    nk = GradedPolynomial.generator("N", k)
+    return _newton_classes(model, nk, conjugate) * Q(1, math.factorial(k))
 
 
 def diagonal_vanishing_check(model, k):
@@ -267,18 +311,10 @@ def multiplicative_class(model, q_series):
         raise ValueError("series truncated below the dimension")
     if not all(is_exact(c) for c in q_series.coeffs):
         raise ValueError("multiplicative_class needs exact coefficients")
+    # prod Q(x_i) = exp(sum_m l_m N_m(tau)) with l = log Q
     l = PowerSeries1(q_series.coeffs[: n + 1]).log().coeffs
-    comps = [GradedPolynomial.zero()]
-    for m in range(1, n + 1):
-        comps.append(GradedPolynomial.generator("N", m, coeff=l[m]))
-    in_p = TruncatedSeries(comps).exp()
-    images = _chern_images(model)
-    cache = {}
-    total = {}
-    for comp in in_p.comps:
-        in_e = symm.convert(symm.SymmFn(symm.P, comp), symm.E).value
-        add_into(total, model.reduce(in_e.substitute(images, cache)).terms)
-    return model.reduce(GradedPolynomial(total))
+    arg = add_into({}, ((((gen_id("N", m), 1),), l[m]) for m in range(1, n + 1)))
+    return _ring_exp(model, _newton_classes(model, GradedPolynomial(arg)), None)
 
 
 def genus(model, q_series):
@@ -381,7 +417,15 @@ def deformation_exponential(model, params, include_ch1=True):
         if kind is not None:
             ch = ch.map_coefficients(kind)
         add_into(arg, (ch * v).terms)
-    arg = GradedPolynomial(arg)
+    return _ring_exp(model, GradedPolynomial(arg), kind)
+
+
+def _ring_exp(model, arg, kind):
+    """exp(arg) in the model's cohomology, arg without constant term.
+
+    The ring vanishes above real degree 2*dim_c, so the powers of arg
+    stop at arg^dim_c.  ``kind`` is the coefficient type (None = exact).
+    """
     power = GradedPolynomial.one()
     if kind is not None:
         power = power.map_coefficients(kind)

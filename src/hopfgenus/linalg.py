@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Rank goes through the fraction-free integer kernel; nullspace and solve
+Rank goes through the fraction-free integer kernel; rref and nullspace
 use rational Gauss-Jordan (gmpy2.mpq makes pivot growth a non-issue at
 the sizes that occur here: at most a few hundred rows).
 """
@@ -71,21 +71,3 @@ def nullspace(rows, ncols):
         basis.append(v)
     return basis
 
-
-def solve(rows, rhs):
-    """Solve A x = b exactly; returns None if inconsistent.
-
-    ``rows`` is the matrix A (list of rational rows), ``rhs`` the vector b.
-    Underdetermined systems return one particular solution.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    x = [Q(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # pivot in the rhs column: inconsistent
-        x[pc] = red[r][ncols]
-    return x

@@ -24,6 +24,7 @@ from . import linalg
 from ._kernels import monomial_mul
 from .core import (
     GradedPolynomial,
+    InvariantError,
     LinearCombination,
     TruncatedSeries,
     add_into,
@@ -122,71 +123,46 @@ def monomial_partition(mon):
 # generator conversion tables between the multiplicative bases
 
 
-@lru_cache(maxsize=None)
-def _e_series_in_p(D):
-    # sum c_k = prod exp((-1)^i N_{i+1}/(i+1))
-    comps = [GradedPolynomial.zero() for _ in range(D + 1)]
-    for k in range(1, D + 1):
-        comps[k] = GradedPolynomial.generator("N", k, coeff=Q((-1) ** (k - 1), k))
-    return TruncatedSeries(comps).exp()
+def _generating_series(family, D):
+    """1 + sum_k gen_k t^k up to t^D."""
+    return TruncatedSeries(
+        [GradedPolynomial.one()]
+        + [GradedPolynomial.generator(family, k) for k in range(1, D + 1)]
+    )
 
 
 @lru_cache(maxsize=None)
-def _h_series_in_p(D):
-    # sum h_k = exp(sum N_i/i)
-    comps = [GradedPolynomial.zero() for _ in range(D + 1)]
-    for k in range(1, D + 1):
-        comps[k] = GradedPolynomial.generator("N", k, coeff=Q(1, k))
-    return TruncatedSeries(comps).exp()
+def _gen_table(src, tgt, D):
+    """Generators 1..D of basis ``src`` written in basis ``tgt``, as a tuple.
 
-
-@lru_cache(maxsize=None)
-def _gen_table(src, tgt, k):
-    """Generator k of basis ``src`` expressed in basis ``tgt``."""
-    if src == tgt:
-        return sym_gen(src, k)
-    if src == E and tgt == P:
-        return _e_series_in_p(k).component(k)
-    if src == H and tgt == P:
-        return _h_series_in_p(k).component(k)
-    if src == P and tgt == E:
-        # p_k = (-1)^(k-1) k [t^k] log(sum c_i)
-        comps = [GradedPolynomial.zero() for _ in range(k + 1)]
-        comps[0] = GradedPolynomial.one()
-        for j in range(1, k + 1):
-            comps[j] = GradedPolynomial.generator("c", j)
-        return TruncatedSeries(comps).log().component(k) * Q((-1) ** (k - 1) * k)
-    if src == P and tgt == H:
-        # p_k = k [t^k] log(sum h_i)
-        comps = [GradedPolynomial.zero() for _ in range(k + 1)]
-        comps[0] = GradedPolynomial.one()
-        for j in range(1, k + 1):
-            comps[j] = GradedPolynomial.generator("h", j)
-        return TruncatedSeries(comps).log().component(k) * Q(k)
+    Each table is one series operation on the relations
+    E(t) = exp(sum (-1)^(k-1) p_k t^k / k), H(t) = exp(sum p_k t^k / k)
+    and E(-t) H(t) = 1 (Macdonald, Symmetric Functions, I.2).
+    """
+    if src in (E, H) and tgt == P:
+        sign = -1 if src == E else 1
+        arg = [GradedPolynomial.zero()] + [
+            GradedPolynomial.generator("N", k, coeff=Q(sign ** (k - 1), k))
+            for k in range(1, D + 1)
+        ]
+        return tuple(TruncatedSeries(arg).exp().comps[1:])
+    if src == P and tgt in (E, H):
+        sign = -1 if tgt == E else 1
+        log = _generating_series(FAMILY[tgt], D).log()
+        return tuple(c * Q(sign ** (k - 1) * k) for k, c in enumerate(log.comps[1:], 1))
     if (src, tgt) in ((E, H), (H, E)):
-        # E(t) H(-t) = 1, symmetric in both directions
-        other = "h" if src == E else "c"
-        comps = [GradedPolynomial.zero() for _ in range(k + 1)]
-        comps[0] = GradedPolynomial.one()
-        for j in range(1, k + 1):
-            comps[j] = GradedPolynomial.generator(other, j, coeff=Q((-1) ** j))
-        inv = TruncatedSeries(comps).inverse()
-        return inv.component(k) * Q((-1) ** k)
+        # e_k = (-1)^k [t^k] 1/H(t) and h_k = (-1)^k [t^k] 1/E(t)
+        inv = _generating_series(FAMILY[tgt], D).inverse()
+        return tuple(c * Q((-1) ** k) for k, c in enumerate(inv.comps[1:], 1))
     raise ValueError("no conversion %s -> %s" % (src, tgt))
-
-
-_SUBST_CACHE = {}
 
 
 def _convert_multiplicative(poly, src, tgt):
     if src == tgt or poly.is_zero():
         return poly
-    top = poly.max_degree()
-    images = {
-        gen_id(FAMILY[src], k): _gen_table(src, tgt, k) for k in range(1, top + 1)
-    }
-    cache = _SUBST_CACHE.setdefault((src, tgt), {})
-    return poly.substitute(images, cache=cache)
+    table = _gen_table(src, tgt, poly.max_degree())
+    fam = FAMILY[src]
+    return poly.substitute({gen_id(fam, k): img for k, img in enumerate(table, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +211,15 @@ def _m_in_p_weight(w):
     for i, lam in enumerate(lams):
         for nu, c in _p_lambda_in_m(lam):
             A[i][index[nu]] += c
-    # invert: columns of the inverse of A^T give m_lambda in p coordinates
+    # row lambda of A^{-1} is m_lambda in the p basis; read it off rref [A | I]
+    red, pivots = linalg.rref(
+        [row + [Q(1) if j == i else Q(0) for j in range(n)] for i, row in enumerate(A)]
+    )
+    if pivots != list(range(n)):
+        raise InvariantError("p-to-m matrix of weight %d is singular" % w)
     out = {}
-    for lam in lams:
-        rhs = [Q(1) if mu == lam else Q(0) for mu in lams]
-        # solve sum_i y_i A[i][j] = rhs[j]
-        x = linalg.solve([[A[i][j] for i in range(n)] for j in range(n)], rhs)
-        out[lam] = {mu: x[i] for i, mu in enumerate(lams) if x[i] != 0}
+    for lam, row in zip(lams, red):
+        out[lam] = {mu: x for mu, x in zip(lams, row[n:]) if x != 0}
     return out
 
 
@@ -294,7 +272,7 @@ def convert(f, target):
 
 def chern_from_newton(D):
     """Series whose weight-k part is c_k written in the P basis."""
-    return _e_series_in_p(D)
+    return TruncatedSeries((GradedPolynomial.one(),) + _gen_table(E, P, D))
 
 
 def d_classes(D):
@@ -308,14 +286,16 @@ def d_classes(D):
 
 
 def d_classes_exp_form(D):
-    """The exp-product form prod exp(-2 N_{2i+1}/(2i+1)), converted to c."""
-    comps = [GradedPolynomial.zero() for _ in range(D + 1)]
-    for k in range(1, D + 1, 2):
-        comps[k] = GradedPolynomial.generator("N", k, coeff=Q(-2, k))
-    in_p = TruncatedSeries(comps).exp()
-    return TruncatedSeries(
-        [_convert_multiplicative(c, P, E) for c in in_p.comps]
+    """The exp-product form prod exp(-2 N_{2i+1}/(2i+1)), converted to c.
+
+    Conversion is a ring homomorphism, so the linear argument is
+    converted and the exponential taken in the c basis.
+    """
+    arg = GradedPolynomial(
+        {((gen_id("N", k), 1),): Q(-2, k) for k in range(1, D + 1, 2)}
     )
+    in_e = _convert_multiplicative(arg, P, E)
+    return TruncatedSeries.from_polynomial(in_e, D).exp()
 
 
 def a_classes(D):
@@ -375,13 +355,19 @@ def coproduct(f):
     return HopfTensor(result)
 
 
+def _primitive_defect(delta, terms):
+    """Delta f - f (x) 1 - 1 (x) f as a dict, from Delta f's and f's terms."""
+    defect = dict(delta)
+    for mon, c in terms.items():
+        # two pairs, not one dict: for mon = () both keys are 1 (x) 1
+        add_into(defect, (((mon, ()), c), (((), mon), c)), -1)
+    return defect
+
+
 def is_primitive(f):
     """True iff Delta f = f (x) 1 + 1 (x) f exactly."""
     f = convert(f, E)
-    defect = dict(coproduct(f).terms)
-    for mon, c in f.value.terms.items():
-        add_into(defect, {(mon, ()): c, ((), mon): c}, -1)
-    return not defect
+    return not _primitive_defect(coproduct(f).terms, f.value.terms)
 
 
 def coassociativity_defect(f):
@@ -418,28 +404,31 @@ def primitive_space(k, model=BU_MOD_SO):
     if model != BU:
         raise ValueError("unknown model %r" % model)
     mons = [partition_monomial(E, lam) for lam in sorted(partitions(k))]
+    defects = [
+        _primitive_defect(coproduct(SymmFn(E, GradedPolynomial({mon: Q(1)}))).terms, {mon: Q(1)})
+        for mon in mons
+    ]
+    return [SymmFn(E, poly) for poly in _primitive_combinations(mons, defects)]
+
+
+def _primitive_combinations(mons, defects):
+    """Nullspace basis, as polynomials over ``mons``, of the defect matrix.
+
+    ``defects[j]`` is the coproduct defect dict of ``mons[j]``; each
+    returned polynomial is a combination of the monomials whose defects
+    cancel.
+    """
     rows_index = {}
     cols = []
-    for mon in mons:
-        f = SymmFn(E, GradedPolynomial({mon: Q(1)}))
-        delta = coproduct(f)
-        defect = delta - HopfTensor({(mon, ()): Q(1), ((), mon): Q(1)})
+    for defect in defects:
         col = {}
-        for key, c in defect.terms.items():
-            if key not in rows_index:
-                rows_index[key] = len(rows_index)
-            col[rows_index[key]] = c
+        for key, c in defect.items():
+            col[rows_index.setdefault(key, len(rows_index))] = c
         cols.append(col)
-    nrows = len(rows_index)
-    matrix = [[Q(0)] * len(mons) for _ in range(nrows)]
+    matrix = [[Q(0)] * len(mons) for _ in range(len(rows_index))]
     for j, col in enumerate(cols):
         for i, c in col.items():
             matrix[i][j] = c
-    return [SymmFn(E, poly) for poly in _nullspace_polynomials(matrix, mons)]
-
-
-def _nullspace_polynomials(matrix, mons):
-    """The nullspace basis vectors of ``matrix`` as polynomials over ``mons``."""
     return [
         GradedPolynomial(add_into({}, zip(mons, vec)))
         for vec in linalg.nullspace(matrix, len(mons))
@@ -467,22 +456,9 @@ def _primitive_space_odd_model(k):
     """Primitives of weight k in the subalgebra generated by odd N's."""
     lams = [lam for lam in sorted(partitions(k)) if all(p % 2 == 1 for p in lam)]
     mons = [partition_monomial(P, lam) for lam in lams]
-    rows_index = {}
-    cols = []
-    for mon in mons:
-        defect = add_into(_coproduct_p_monomial(mon), {(mon, ()): Q(1), ((), mon): Q(1)}, -1)
-        col = {}
-        for key, c in defect.items():
-            if key not in rows_index:
-                rows_index[key] = len(rows_index)
-            col[rows_index[key]] = c
-        cols.append(col)
-    matrix = [[Q(0)] * len(mons) for _ in range(len(rows_index))]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            matrix[i][j] = c
+    defects = [_primitive_defect(_coproduct_p_monomial(mon), {mon: Q(1)}) for mon in mons]
     return [
-        convert(SymmFn(P, poly), E) for poly in _nullspace_polynomials(matrix, mons)
+        convert(SymmFn(P, poly), E) for poly in _primitive_combinations(mons, defects)
     ]
 
 

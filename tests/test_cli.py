@@ -144,6 +144,69 @@ class TestGenusCommand:
         assert json.loads(out)["value"] == "1"
 
 
+    _CP1 = {
+        "name": "myCP1",
+        "dim_c": 1,
+        "generators": [{"sym": "x", "deg": 2, "nilpotency": 1}],
+        "total_chern": "1 + 2*x[1]",
+        "volume_monomial": "x[1]",
+    }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim_c": "two"},
+            {"dim_c": True},
+            {"generators": {"sym": "x"}},
+            {"generators": [{"sym": "x", "deg": 2, "nilpotency": "1"}]},
+            {"generators": [{"sym": "xy", "deg": 2, "nilpotency": 1}]},
+            {"generators": [{"sym": "x", "deg": 3, "nilpotency": 1}]},
+            {"generators": [{"sym": "x", "deg": 2, "nilpotency": 0}]},
+            {
+                "dim_c": 2,
+                "generators": [{"sym": "x", "deg": 2, "nilpotency": 1}] * 2,
+                "volume_monomial": "x[1]^2",
+            },
+            {"dim_c": 2},
+            {"volume_monomial": "2*x[1]"},
+            {"total_chern": "1 + 2*y[1]"},
+            {"name": None},
+        ],
+        ids=[
+            "dim_c-string",
+            "dim_c-bool",
+            "generators-object",
+            "nilpotency-string",
+            "sym-two-letters",
+            "deg-odd",
+            "nilpotency-zero",
+            "sym-repeated",
+            "volume-below-dim_c",
+            "volume-coefficient",
+            "unknown-generator",
+            "name-null",
+        ],
+    )
+    def test_malformed_manifold_file(self, capsys, tmp_path, change):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(self._CP1, **change)))
+        code, out = run(["genus", "compute", "--manifold-file", str(path)], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "parse-error"
+
+    def test_manifold_file_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([self._CP1]))
+        code, out = run(["genus", "compute", "--manifold-file", str(path)], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "parse-error"
+
+    def test_text_format_prints_json(self, capsys):
+        code, out = run(["genus", "compute", "--manifold", "CP2", "--format", "text"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == "-1/8"
+
+
 class TestCoactionCommand:
     def test_cp1(self, capsys):
         code, out = run(["coaction", "--manifold", "CP1", "--class", "1", "--bound", "4"], capsys)

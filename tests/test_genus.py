@@ -4,7 +4,14 @@ import random
 import pytest
 
 from hopfgenus import genus as G
-from hopfgenus.core import GradedPolynomial, PowerSeries1, parse_polynomial
+from hopfgenus import symm
+from hopfgenus.core import (
+    GradedPolynomial,
+    PowerSeries1,
+    TruncatedSeries,
+    add_into,
+    parse_polynomial,
+)
 from hopfgenus.rational import Q
 
 
@@ -121,6 +128,53 @@ class TestGenera:
     def test_multiplicative_class_rejects_floats(self, cp1):
         with pytest.raises(ValueError):
             G.multiplicative_class(cp1, PowerSeries1([1.0, 0.5]))
+
+
+def _class_via_p_series(model, q_series):
+    """Reference multiplicative class: exp(sum l_m N_m) expanded in P,
+    each component converted to c and specialized to the Chern data."""
+    n = model.dim_c
+    if n == 0:
+        return GradedPolynomial.one()
+    l = PowerSeries1(q_series.coeffs[: n + 1]).log().coeffs
+    arg = [GradedPolynomial.zero()] + [
+        GradedPolynomial.generator("N", m, coeff=l[m]) for m in range(1, n + 1)
+    ]
+    images = G._chern_images(model)
+    total = {}
+    for comp in TruncatedSeries(arg).exp().comps:
+        in_e = symm.convert(symm.SymmFn(symm.P, comp), symm.E).value
+        add_into(total, model.reduce(in_e.substitute(images)).terms)
+    return model.reduce(GradedPolynomial(total))
+
+
+_REFERENCE_MODELS = (
+    ["pt"]
+    + ["CP%d" % n for n in range(1, 7)]
+    + ["CP%dxCP%d" % (a, b) for a in range(1, 4) for b in range(1, 4)]
+    + ["CP1xCP1xCP1"]
+)
+
+
+class TestAgainstPSeriesPath:
+    @pytest.mark.parametrize("name", _REFERENCE_MODELS)
+    def test_multiplicative_class(self, name):
+        m = G.catalog_model(name)
+        for series in (G.a_hat_series, G.todd_series):
+            q = series(max(m.dim_c, 1) + 1)
+            assert G.multiplicative_class(m, q) == _class_via_p_series(m, q)
+
+    @pytest.mark.parametrize("name", ["CP1", "CP2", "CP5", "CP2xCP3", "CP1xCP1xCP1"])
+    def test_deform_genus(self, name):
+        m = G.catalog_model(name)
+        q = G.a_hat_series(m.dim_c + 1)
+        exact = _class_via_p_series(m, q)
+        for t in ({1: Q(1, 3)}, {1: Q(1, 2), 3: Q(2)}, {1: 0.25, 3: 1.5}, {1: 0.3j, 3: 0.7 + 0.1j}):
+            params = G.DeformationParameters.from_dict(t)
+            kind = G._numeric_kind(list(t.values()))
+            ref = exact if kind is None else exact.map_coefficients(kind)
+            expo = G.deformation_exponential(m, params)
+            assert G.deform_genus(m, q, params) == m.pairing(m.reduce(expo * ref)), t
 
 
 class TestGammaExponential:

@@ -39,6 +39,23 @@ class TestConversions:
             back = symm.convert(symm.convert(f, tgt), src)
             assert back == f, (src, tgt, k)
 
+    @pytest.mark.parametrize("src", [symm.E, symm.P, symm.H])
+    @pytest.mark.parametrize("mid", [symm.E, symm.P, symm.H, symm.M])
+    @pytest.mark.parametrize("tgt", [symm.E, symm.P, symm.H, symm.M])
+    def test_conversions_commute(self, src, mid, tgt):
+        for k in range(1, 8):
+            f = symm.SymmFn(src, symm.sym_gen(src, k))
+            assert symm.convert(symm.convert(f, mid), tgt) == symm.convert(f, tgt), k
+
+    def test_h3_in_chern_classes(self):
+        h3 = symm.convert(symm.SymmFn(symm.H, symm.sym_gen(symm.H, 3)), symm.E)
+        assert h3.value == parse_polynomial("c[1]^3 - 2*c[1]*c[2] + c[3]")
+
+    def test_m_roundtrip_weight_10(self):
+        for lam in symm.partitions(10):
+            f = symm.SymmFn(symm.M, GradedPolynomial({symm.partition_monomial(symm.M, lam): Q(1)}))
+            assert symm.convert(symm.convert(f, symm.P), symm.M) == f, lam
+
     def test_m_basis_sum_is_h(self):
         # h_2 = m_(2) + m_(1,1)
         h2 = symm.SymmFn(symm.H, symm.sym_gen(symm.H, 2))
@@ -66,6 +83,19 @@ class TestGeneratingFunctions:
     def test_d3(self):
         d = symm.d_classes(3)
         assert d.comps[3] == parse_polynomial("2*c[1]*c[2] - 2*c[1]^3 - 2*c[3]")
+
+    def test_exp_form_matches_exp_in_p_then_convert(self):
+        # reference: expand the exponential in P, convert each component
+        for D in range(17):
+            arg = [GradedPolynomial.zero()] + [
+                GradedPolynomial.generator("N", k, coeff=Q(-2, k))
+                if k % 2
+                else GradedPolynomial.zero()
+                for k in range(1, D + 1)
+            ]
+            in_p = TruncatedSeries(arg).exp()
+            want = [symm.convert(symm.SymmFn(symm.P, c), symm.E).value for c in in_p.comps]
+            assert symm.d_classes_exp_form(D).comps == want, D
 
     def test_d_even_weights_decomposable_of_odd(self):
         # the exp form shows d is generated by odd-weight primitives
@@ -112,6 +142,13 @@ class TestHopf:
 
     def test_nonprimitive(self):
         assert not symm.is_primitive(epoly("c[2]"))
+
+    def test_constants_are_not_primitive(self):
+        # Delta(1) = 1 (x) 1, not 2 (1 (x) 1)
+        assert not symm.is_primitive(symm.SymmFn(symm.E, GradedPolynomial.one()))
+        assert not symm.is_primitive(symm.SymmFn(symm.P, parse_polynomial("3 + N[1]")))
+        assert symm.is_primitive(symm.SymmFn(symm.P, parse_polynomial("N[4]")))
+        assert symm.is_primitive(symm.SymmFn(symm.E, GradedPolynomial.zero()))
 
     def test_coassociativity(self):
         for k in range(1, 6):
@@ -166,11 +203,7 @@ class TestArithmetic:
 
 def _snapshot_caches():
     return (
-        dict(symm._gen_table(symm.P, symm.E, 5).terms),
-        {
-            pair: {key: dict(p.terms) for key, p in cache.items()}
-            for pair, cache in symm._SUBST_CACHE.items()
-        },
+        [dict(p.terms) for p in symm._gen_table(symm.P, symm.E, 5)],
         dict(symm._coproduct_c(4).terms),
     )
 
@@ -206,8 +239,4 @@ class TestNoAliasing:
 
         assert [dict(c.terms) for c in series.comps] == comps
         assert log.comps[1].terms is not series.comps[1].terms
-        gen, subst, dc = _snapshot_caches()
-        assert gen == before[0] and dc == before[2]
-        for pair, cache in before[1].items():
-            # later conversions may add powers, but never change one
-            assert {key: subst[pair][key] for key in cache} == cache
+        assert _snapshot_caches() == before
