@@ -16,6 +16,7 @@ monomials in the odd d-classes of the tangent bundle.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -507,23 +508,19 @@ def _d_class_images(model):
     return out
 
 
-def _alpha_monomials(max_tag, dvals):
-    """Exponent vectors over odd indices with 2*sum(j*m_j) <= max_tag."""
-    odds = sorted(dvals)
+def _alpha_partitions(max_tag, dvals):
+    """The alphas of ``coaction``: partitions of w <= max_tag / 2 into the
+    odd indices of ``dvals``, as sorted (index, multiplicity) tuples,
+    ordered by tag 2*w and then by alpha."""
+    top = max(dvals, default=0)
     out = []
-
-    def rec(prefix, pos, budget):
-        if pos == len(odds):
-            out.append(tuple(prefix))
-            return
-        j = odds[pos]
-        m = 0
-        while 2 * j * m <= budget:
-            rec(prefix + ([(j, m)] if m else []), pos + 1, budget - 2 * j * m)
-            m += 1
-
-    rec([], 0, max_tag)
-    return sorted(out, key=lambda a: (sum(2 * j * m for j, m in a), a))
+    for w in range(max_tag // 2 + 1):
+        out += sorted(
+            tuple(sorted(Counter(lam).items()))
+            for lam in symm.partitions(w, top)
+            if all(p in dvals for p in lam)
+        )
+    return out
 
 
 def coaction(model, cls, bound):
@@ -535,7 +532,7 @@ def coaction(model, cls, bound):
     """
     dvals = _d_class_images(model)
     out = {(): cls}
-    for alpha in _alpha_monomials(bound, dvals):
+    for alpha in _alpha_partitions(bound, dvals):
         if not alpha:
             continue
         acc = cls

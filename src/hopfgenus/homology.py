@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import InvariantError, add_into
 from .linalg import rank_rational
-from .qsymm import polynomial_hilbert
+from .qsymm import polynomial_hilbert, word_series
 from .rational import Q
 
 
@@ -246,20 +246,6 @@ def tor_via_bar(A, bound):
     return TorTable(dims, bound)
 
 
-def predicted_polynomial_series(gen_degrees, bound):
-    """Coefficients of prod (1 - t^d)^(-1): the polynomial prediction."""
-    return polynomial_hilbert(list(gen_degrees), bound)
-
-
-def word_series(letters, bound):
-    """Ordered-word counts: coefficients of 1/(1 - sum t^d)."""
-    out = [0] * (bound + 1)
-    out[0] = 1
-    for n in range(1, bound + 1):
-        out[n] = sum(out[n - d] for d in letters if d <= n)
-    return out
-
-
 def exterior_series(gen_degrees, bound):
     """Coefficients of prod (1 + t^d)."""
     out = [0] * (bound + 1)
@@ -277,11 +263,7 @@ THH = "THH"
 K_THEORY_FIBER = "KTheoryFiber"
 
 
-def _exterior_degrees(bound, start):
-    return list(range(start, bound + 1, 4))
-
-
-def _polynomial_degrees(bound, start):
+def _degrees_mod_4(bound, start):
     return list(range(start, bound + 1, 4))
 
 
@@ -300,14 +282,14 @@ def coefficient_ring_series(which, bound, exterior_start=5, polynomial_start=2):
     if polynomial_start % 4 != 2:
         raise ValueError("polynomial generators live in degrees 4i+2")
     if which == SOMEGA:
-        return exterior_series(_exterior_degrees(bound, exterior_start), bound)
+        return exterior_series(_degrees_mod_4(bound, exterior_start), bound)
     if which == K_THEORY_FIBER:
-        out = polynomial_hilbert(_polynomial_degrees(bound, polynomial_start), bound)
+        out = polynomial_hilbert(_degrees_mod_4(bound, polynomial_start), bound)
         out[0] = 0  # augmentation ideal
         return out
     if which == THH:
-        ext = exterior_series(_exterior_degrees(bound, exterior_start), bound)
-        pol = polynomial_hilbert(_polynomial_degrees(bound, polynomial_start), bound)
+        ext = exterior_series(_degrees_mod_4(bound, exterior_start), bound)
+        pol = polynomial_hilbert(_degrees_mod_4(bound, polynomial_start), bound)
         return [
             sum(ext[i] * pol[n - i] for i in range(n + 1)) for n in range(bound + 1)
         ]

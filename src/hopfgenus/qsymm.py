@@ -213,33 +213,41 @@ class GeneratorProfile:
 
 
 def lyndon_generators(n, profile=None):
-    """Lyndon words of total weight n over the profile alphabet.
+    """Lyndon words of total weight n over the profile alphabet, in
+    lexicographic order.
 
     Letters are compared by weight; a Lyndon word is strictly smaller
-    than all of its proper rotations.
+    than all of its proper rotations.  Words are grown as prenecklaces
+    by the Fredricksen-Kessler-Maiorana recursion (Ruskey, Savage and
+    Wang, Generating necklaces, J. Algorithms 13 (1992)) within the
+    weight budget n; a prenecklace is Lyndon exactly when its period
+    equals its length.
     """
     if n < 1:
         raise ValueError("weight must be positive")
     if profile is None:
         profile = GeneratorProfile.all_positive()
     alphabet = profile.weights_upto(n)
-
-    def words(total):
-        if total == 0:
-            yield ()
-            return
-        for a in alphabet:
-            if a <= total:
-                for rest in words(total - a):
-                    yield (a,) + rest
-
     out = []
-    for w in words(n):
-        if not w:
-            continue
-        if all(w < w[i:] + w[:i] for i in range(1, len(w))):
-            out.append(w)
-    return sorted(out)
+    word = []
+
+    def extend(period, weight):
+        if weight == n:
+            if period == len(word):
+                out.append(tuple(word))
+            return
+        ref = word[-period] if word else 0
+        for a in alphabet:
+            if weight + a > n:
+                break
+            if a < ref:
+                continue
+            word.append(a)
+            extend(period if a == ref else len(word), weight + a)
+            word.pop()
+
+    extend(1, 0)
+    return out
 
 
 def free_algebra_hilbert(profile, bound, flavor="associative"):
@@ -248,14 +256,13 @@ def free_algebra_hilbert(profile, bound, flavor="associative"):
     flavors: 'associative' (word counts), 'lie' (free graded Lie algebra
     dimensions derived from the associative series), or
     'polynomial-on-lyndon' (free commutative algebra on Lyndon words).
+    By the Chen-Fox-Lyndon factorisation every word is uniquely a
+    nonincreasing product of Lyndon words, so the last flavour equals
+    the associative one; it is counted from the generated words.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    weights = profile.weights_upto(bound)
-    assoc = [0] * (bound + 1)
-    assoc[0] = 1
-    for n in range(1, bound + 1):
-        assoc[n] = sum(assoc[n - w] for w in weights if w <= n)
+    assoc = word_series(profile.weights_upto(bound), bound)
     if flavor == "associative":
         return assoc
     if flavor == "lie":
@@ -290,6 +297,15 @@ def _log_int_series(coeffs, bound):
 
     s = PowerSeries1([Q(c) for c in coeffs[: bound + 1]])
     return s.log().coeffs
+
+
+def word_series(letters, bound):
+    """Ordered-word counts: coefficients of 1/(1 - sum t^d)."""
+    out = [0] * (bound + 1)
+    out[0] = 1
+    for n in range(1, bound + 1):
+        out[n] = sum(out[n - d] for d in letters if d <= n)
+    return out
 
 
 def polynomial_hilbert(generator_degrees, bound):

@@ -308,6 +308,30 @@ def a_classes(D):
     return TruncatedSeries(plain) * TruncatedSeries(alt)
 
 
+def d_class_mismatch(D):
+    """First weight <= D where the quotient and exp-product forms of the
+    d-series differ, or None."""
+    lhs = d_classes(D)
+    rhs = d_classes_exp_form(D)
+    return next((k for k in range(D + 1) if lhs.comps[k] != rhs.comps[k]), None)
+
+
+def a_class_mismatch(D):
+    """First weight k in 2..D where a_k breaks the a-class structure, or None.
+
+    An even a_k must have linear part 2 b_k; an odd a_k must be
+    decomposable (no linear term).
+    """
+    a = a_classes(D)
+    for k in range(2, D + 1):
+        if k % 2 == 0:
+            if a.comps[k].coefficient(((gen_id("b", k), 1),)) != 2:
+                return k
+        elif any(len(m) == 1 and m[0][1] == 1 for m in a.comps[k].terms):
+            return k
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Hopf structure (coproduct in the E basis)
 
@@ -392,23 +416,29 @@ def coassociativity_defect(f):
 
 
 def primitive_space(k, model=BU_MOD_SO):
-    """Basis of the primitive subspace in weight k, by exact linear solve.
+    """Basis of the primitive subspace in weight k, in the E basis.
 
-    The BUmodSO model carries primitives only in odd weights
-    (topological degree congruent to 2 mod 4); BU in every weight.
+    The N_k are primitive, so the coproduct of a P-basis monomial is a
+    binomial expansion; the primitive combinations of the model's
+    P-monomials are solved for exactly and converted to E.  The BUmodSO
+    model is generated by the odd N's and carries primitives only in
+    odd weights (topological degree congruent to 2 mod 4); BU is
+    generated by all of them and has the primitive N_k in every weight.
     """
     if k < 1:
         return []
-    if model == BU_MOD_SO:
-        return _primitive_space_odd_model(k)
-    if model != BU:
+    if model not in (BU, BU_MOD_SO):
         raise ValueError("unknown model %r" % model)
-    mons = [partition_monomial(E, lam) for lam in sorted(partitions(k))]
-    defects = [
-        _primitive_defect(coproduct(SymmFn(E, GradedPolynomial({mon: Q(1)}))).terms, {mon: Q(1)})
-        for mon in mons
+    lams = [
+        lam
+        for lam in sorted(partitions(k))
+        if model == BU or all(p % 2 == 1 for p in lam)
     ]
-    return [SymmFn(E, poly) for poly in _primitive_combinations(mons, defects)]
+    mons = [partition_monomial(P, lam) for lam in lams]
+    defects = [_primitive_defect(_coproduct_p_monomial(mon), {mon: Q(1)}) for mon in mons]
+    return [
+        convert(SymmFn(P, poly), E) for poly in _primitive_combinations(mons, defects)
+    ]
 
 
 def _primitive_combinations(mons, defects):
@@ -452,62 +482,26 @@ def _coproduct_p_monomial(mon):
     return result
 
 
-def _primitive_space_odd_model(k):
-    """Primitives of weight k in the subalgebra generated by odd N's."""
-    lams = [lam for lam in sorted(partitions(k)) if all(p % 2 == 1 for p in lam)]
-    mons = [partition_monomial(P, lam) for lam in lams]
-    defects = [_primitive_defect(_coproduct_p_monomial(mon), {mon: Q(1)}) for mon in mons]
-    return [
-        convert(SymmFn(P, poly), E) for poly in _primitive_combinations(mons, defects)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # indecomposables
-
-
-def monomial_dimensions(generator_weights, bound, min_factors=0):
-    """Per-weight monomial counts for a free commutative algebra.
-
-    ``min_factors`` restricts to monomials with at least that many
-    generator factors (counted with exponent), which gives the graded
-    dimensions of powers of the augmentation ideal.
-    """
-    # dp[w][f] = count of monomials of weight w with min(f, cap) factors
-    cap = max(min_factors, 1)
-    dp = [[0] * (cap + 1) for _ in range(bound + 1)]
-    dp[0][0] = 1
-    for g in sorted(generator_weights):
-        if g <= 0:
-            raise ValueError("generator weights must be positive")
-        if g > bound:
-            continue
-        for w in range(g, bound + 1):
-            for f in range(cap + 1):
-                prev = dp[w - g][f]
-                if prev:
-                    dp[w][min(f + 1, cap)] += prev
-    return [sum(dp[w][f] for f in range(min_factors, cap + 1)) for w in range(bound + 1)]
 
 
 def indecomposables(weight, generator_weights=None):
     """Dimension of I/I^2 in a given weight, with a representative basis.
 
-    Defaults to the full symmetric algebra (one generator per weight).
+    I/I^2 of a free commutative algebra is spanned by the images of its
+    generators, so the dimension is the number of generators of that
+    weight.  Defaults to the full symmetric algebra (one generator per
+    weight).
     """
     if weight < 1:
         return 0, []
     if generator_weights is None:
         generator_weights = list(range(1, weight + 1))
-    total = monomial_dimensions(generator_weights, weight)[weight]
-    sq = monomial_dimensions(generator_weights, weight, min_factors=2)[weight]
-    dim = total - sq
-    reps = [
-        SymmFn(E, sym_gen(E, weight))
-        for g in generator_weights
-        if g == weight
-    ][:dim]
-    return dim, reps
+    if any(g <= 0 for g in generator_weights):
+        raise ValueError("generator weights must be positive")
+    reps = [SymmFn(E, sym_gen(E, weight)) for g in generator_weights if g == weight]
+    return len(reps), reps
 
 
 def is_decomposable(poly):

@@ -9,7 +9,7 @@ import pytest
 
 from hopfgenus import acceptance
 
-CONFIG = acceptance.AcceptanceConfig(degree=30, target_error=1e-8, seed=20240901)
+CONFIG = acceptance.AcceptanceConfig(degree=30, seed=20240901)
 
 _BY_ID = {cid: (name, fn) for cid, name, fn in acceptance.CRITERIA}
 

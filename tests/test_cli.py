@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from hopfgenus import cli
+from hopfgenus import cli, symm
 from hopfgenus import homology as H
+from hopfgenus.core import GradedPolynomial
 
 
 def run(argv, capsys):
@@ -31,6 +32,45 @@ class TestSymmCommand:
         )
         assert code == 0
         assert json.loads(out)["status"] == "exact-match"
+
+    @pytest.mark.parametrize(
+        "which,weight", [("d-classes", 7), ("a-classes", 5), ("a-classes", 6)]
+    )
+    def test_mismatch_reports_first_weight(self, capsys, monkeypatch, which, weight):
+        name = "d_classes_exp_form" if which == "d-classes" else "a_classes"
+        original = getattr(symm, name)
+
+        def corrupted(D):
+            series = original(D)
+            series.comps[weight] = series.comps[weight] + GradedPolynomial.generator("b", weight)
+            return series
+
+        monkeypatch.setattr(symm, name, corrupted)
+        code, out = run(
+            ["symm", "identity-check", "--which", which, "--max-weight", "10"], capsys
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "mismatch"
+        assert report["first_mismatch_weight"] == weight
+
+
+class TestParserReuse:
+    def test_main_does_not_rebuild_the_parser(self, capsys, monkeypatch):
+        run(["series", "--which", "sOmega", "--bound", "5"], capsys)
+
+        def fail():
+            raise AssertionError("build_parser called again")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        code, out = run(["series", "--which", "sOmega", "--bound", "9", "--format", "csv"], capsys)
+        assert code == 0
+        assert out == "degree,dim\n" + "".join(
+            "%d,%d\n" % (n, 1 if n in (0, 5, 9) else 0) for n in range(10)
+        )
+        code, out = run(["qsymm", "lyndon", "--bound", "4"], capsys)
+        assert code == 0
+        assert out == "(1,1,2)\n(1,3)\n(4)\n"
 
 
 class TestMzvCommand:
@@ -79,7 +119,7 @@ class TestTorCommand:
         for line in lines[1:]:
             s, t, total, dim = map(int, line.split(","))
             totals[total] += dim
-        assert totals == H.predicted_polynomial_series([6, 10], 40)
+        assert totals == H.polynomial_hilbert([6, 10], 40)
 
     def test_unknown_kind(self, capsys):
         code, out = run(["tor", "--algebra", "divided:5", "--bound", "10"], capsys)

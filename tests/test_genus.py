@@ -294,3 +294,32 @@ class TestModuleSeriesAndCoaction:
     def test_coassociativity(self, cp2):
         for cls in [GradedPolynomial.one(), G.chern_character(cp2, 1)]:
             assert G.coassociativity_check(cp2, cls, 12)
+
+    def test_alpha_partitions_match_exponent_vectors(self):
+        for dim_c in range(7):
+            dvals = dict.fromkeys(range(1, dim_c + 1, 2))
+            assert sorted(G._d_class_images(G.cp(dim_c)) if dim_c else {}) == list(dvals)
+            for bound in range(25):
+                assert G._alpha_partitions(bound, dvals) == _alpha_exponent_vectors(
+                    bound, dvals
+                ), (dim_c, bound)
+
+
+def _alpha_exponent_vectors(max_tag, dvals):
+    """Test-only copy of the former enumerator: exponent vectors over the
+    odd indices with 2*sum(j*m_j) <= max_tag, sorted by (tag, alpha)."""
+    odds = sorted(dvals)
+    out = []
+
+    def rec(prefix, pos, budget):
+        if pos == len(odds):
+            out.append(tuple(prefix))
+            return
+        j = odds[pos]
+        m = 0
+        while 2 * j * m <= budget:
+            rec(prefix + ([(j, m)] if m else []), pos + 1, budget - 2 * j * m)
+            m += 1
+
+    rec([], 0, max_tag)
+    return sorted(out, key=lambda a: (sum(2 * j * m for j, m in a), a))

@@ -54,11 +54,11 @@ class TestTorViaBar:
 
     def test_koszul_duality_two_generators(self):
         table = H.tor_via_bar(H.exterior_algebra([5, 9], 24), 24)
-        assert table.total_series() == H.predicted_polynomial_series([6, 10], 24)
+        assert table.total_series() == H.polynomial_hilbert([6, 10], 24)
 
     def test_koszul_duality_three_generators(self):
         table = H.tor_via_bar(H.exterior_algebra([5, 9, 13], 24), 24)
-        assert table.total_series() == H.predicted_polynomial_series([6, 10, 14], 24)
+        assert table.total_series() == H.polynomial_hilbert([6, 10, 14], 24)
 
     def test_square_zero_gives_word_counts(self):
         table = H.tor_via_bar(H.square_zero_extension([5, 9], 22), 22)
@@ -89,17 +89,17 @@ class TestTorViaBar:
         assert isinstance(err.value, ArithmeticError)
 
     def test_polynomial_below_word_counts(self):
-        poly = H.predicted_polynomial_series([6, 10], 22)
+        poly = H.polynomial_hilbert([6, 10], 22)
         words = H.word_series([6, 10], 22)
         assert all(p <= w for p, w in zip(poly, words))
 
 
 class TestSeries:
     def test_predicted_polynomial_examples(self):
-        dims = H.predicted_polynomial_series([6, 10], 16)
+        dims = H.polynomial_hilbert([6, 10], 16)
         assert [dims[d] for d in (0, 6, 10, 12, 16)] == [1, 1, 1, 1, 1]
-        assert H.predicted_polynomial_series([], 5) == [1, 0, 0, 0, 0, 0]
-        assert H.predicted_polynomial_series([2], 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
+        assert H.polynomial_hilbert([], 5) == [1, 0, 0, 0, 0, 0]
+        assert H.polynomial_hilbert([2], 8) == [1, 0, 1, 0, 1, 0, 1, 0, 1]
 
     def test_somega(self):
         assert H.coefficient_ring_series(H.SOMEGA, 9) == [1, 0, 0, 0, 0, 1, 0, 0, 0, 1]
@@ -116,7 +116,7 @@ class TestSeries:
     def test_thh_is_convolution(self):
         bound = 20
         ext = H.exterior_series(list(range(5, bound + 1, 4)), bound)
-        pol = H.predicted_polynomial_series(list(range(2, bound + 1, 4)), bound)
+        pol = H.polynomial_hilbert(list(range(2, bound + 1, 4)), bound)
         thh = H.coefficient_ring_series(H.THH, bound)
         for n in range(bound + 1):
             assert thh[n] == sum(ext[i] * pol[n - i] for i in range(n + 1))

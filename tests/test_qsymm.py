@@ -125,6 +125,28 @@ class TestNSymm:
         assert abelianize(comm).value.terms == {}
 
 
+_PROFILES = ["all", "odd:1", "odd:3", "set:2,3", "arith:2:3", "set:1,4,6"]
+
+
+def _lyndon_by_rotations(n, profile):
+    """Test-only copy of the former enumerator: every composition of n over
+    the alphabet, kept when it is smaller than all its proper rotations."""
+    alphabet = profile.weights_upto(n)
+
+    def words(total):
+        if total == 0:
+            yield ()
+            return
+        for a in alphabet:
+            if a <= total:
+                for rest in words(total - a):
+                    yield (a,) + rest
+
+    return sorted(
+        w for w in words(n) if w and all(w < w[i:] + w[:i] for i in range(1, len(w)))
+    )
+
+
 class TestLyndon:
     def test_small_weights_all(self):
         assert lyndon_generators(2) == [(2,)]
@@ -140,6 +162,23 @@ class TestLyndon:
         lie = free_algebra_hilbert(GeneratorProfile.all_positive(), 8, "lie")
         for n in range(1, 9):
             assert len(lyndon_generators(n)) == lie[n]
+
+    @pytest.mark.parametrize("text", _PROFILES)
+    def test_matches_enumerate_and_filter(self, text):
+        profile = GeneratorProfile.from_text(text)
+        lie = free_algebra_hilbert(profile, 14, "lie")
+        for n in range(1, 15):
+            words = lyndon_generators(n, profile)
+            assert words == _lyndon_by_rotations(n, profile), (text, n)
+            assert len(words) == lie[n], (text, n)
+
+    @pytest.mark.parametrize("text", _PROFILES)
+    def test_polynomial_on_lyndon_equals_associative(self, text):
+        # Chen-Fox-Lyndon: words are nonincreasing products of Lyndon words
+        profile = GeneratorProfile.from_text(text)
+        assert free_algebra_hilbert(profile, 12, "polynomial-on-lyndon") == (
+            free_algebra_hilbert(profile, 12, "associative")
+        )
 
 
 class TestHilbert:

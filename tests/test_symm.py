@@ -1,9 +1,12 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgenus import symm
 from hopfgenus.core import GradedPolynomial, TruncatedSeries, gen_id, parse_polynomial
+from hopfgenus.qsymm import polynomial_hilbert
 from hopfgenus.rational import Q
 
 
@@ -172,17 +175,53 @@ class TestHopf:
         for k in range(1, 7):
             assert len(symm.primitive_space(k, symm.BU)) == 1
 
+    def test_primitive_space_bu_is_newton_class(self):
+        for k in range(1, 11):
+            nk = symm.convert(symm.SymmFn(symm.P, GradedPolynomial.generator("N", k)), symm.E)
+            assert symm.primitive_space(k, symm.BU) == [nk], k
+
+    def test_primitive_space_bu_spans_the_e_basis_solution(self):
+        # test-only copy of the former path: nullspace of the coproduct
+        # defects of the E-basis monomials, which came out as (-1)^(k-1) N_k / k
+        for k in range(1, 8):
+            mons = [symm.partition_monomial(symm.E, lam) for lam in sorted(symm.partitions(k))]
+            defects = [
+                symm._primitive_defect(
+                    symm.coproduct(symm.SymmFn(symm.E, GradedPolynomial({mon: Q(1)}))).terms,
+                    {mon: Q(1)},
+                )
+                for mon in mons
+            ]
+            (old,) = symm._primitive_combinations(mons, defects)
+            (new,) = symm.primitive_space(k, symm.BU)
+            assert new.value == old * Q((-1) ** (k - 1) * k), k
+
 
 class TestDimensionCounts:
     def test_monomial_dimensions_all_weights(self):
-        dims = symm.monomial_dimensions(range(1, 9), 8)
-        # partitions of n
+        # monomials in one generator per weight: partitions of n
+        dims = polynomial_hilbert(range(1, 9), 8)
         assert dims == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
     def test_indecomposables(self):
         dim, reps = symm.indecomposables(4, [1, 2, 3, 4])
         assert dim == 1 and len(reps) == 1
         assert symm.indecomposables(5, [1, 2, 3, 4])[0] == 0
+
+    def test_indecomposables_count_generators(self):
+        # dim I/I^2 in weight w = all monomials minus those with >= 2 factors
+        for gens in ([1, 2, 3, 4, 5, 6], [2, 3, 3, 5], [1, 3, 5]):
+            total = polynomial_hilbert(gens, 6)
+            gens_indexed = list(enumerate(gens))
+            for w in range(1, 7):
+                decomposable = sum(
+                    1
+                    for r in range(2, w + 1)
+                    for mon in combinations_with_replacement(gens_indexed, r)
+                    if sum(g for _, g in mon) == w
+                )
+                assert symm.indecomposables(w, gens)[0] == total[w] - decomposable
+        assert symm.indecomposables(5) == (1, [symm.SymmFn(symm.E, symm.sym_gen(symm.E, 5))])
 
     def test_is_decomposable(self):
         assert symm.is_decomposable(parse_polynomial("c[1]*c[2]"))
