@@ -9,6 +9,7 @@ or config errors.  Output is deterministic (sorted keys, sorted rows).
 
 import argparse
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -63,6 +64,9 @@ def _effective_config(args):
             cfg[key] = val
     if cfg["degree"] < 1:
         raise CLIError("config-error", "degree must be >= 1", 2)
+    error = cfg["error"]
+    if isinstance(error, bool) or not isinstance(error, (int, float)) or not math.isfinite(error):
+        raise CLIError("parse-error", "error must be a finite number, got %r" % (error,), 2)
     if cfg["error"] <= 0:
         raise CLIError("config-error", "error must be positive", 2)
     if cfg["model"] not in MODELS:

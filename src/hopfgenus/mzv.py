@@ -9,23 +9,57 @@ monomials literally.  The classical decreasing-index convention is the
 reversed composition.  An index is admissible iff the exponent attached
 to the largest index (the last entry) is at least 2.
 
-Evaluation truncates every index at N and encloses the remainder by
-integral comparison.  For the outermost level the truncated tail
-sum_{i>N} i^{-s} of a decreasing convex summand is squeezed between the
-trapezoid and midpoint integral comparisons (the first Euler-Maclaurin
-correction), giving an enclosure of width O(N^{-s-1}).  Inner levels use
-the elementary bound
+Depth 1 truncates sum_i i^{-s} at N, sums the head in 80-bit long
+doubles and squeezes the tail between the trapezoid and midpoint
+integral comparisons (the first Euler-Maclaurin correction).
 
-    R_j(n) <= c_j (n-1)^{-p_j},   p_j = s_j + p_{j+1} - 1,  c_j = c_{j+1}/p_j
+Depth >= 2 is summed exactly.  The reversed composition (a_1,...,a_k),
+a_1 = s_k >= 2, has the word w = x0^{a_1-1} x1 ... x0^{a_k-1} x1 =
+e_1...e_n over the letters 0 (dt/t) and 1 (dt/(1-t)), and zeta(w) is
+their iterated integral over 1 > t_1 > ... > t_n > 0.  Splitting that
+simplex at t = 1/2 and substituting t -> 1-t on the upper part gives
+the Hoelder convolution at p = 2 (Borwein, Bradley, Broadhurst and
+Lisonek, Trans. AMS 353 (2001)):
 
-obtained by repeated integral comparison, where R_j(n) is the remaining
-nested sum with all indices >= n.  Partial sums are accumulated in
-80-bit long doubles; a conservative rounding allowance is added to every
-error bound.
+    zeta(w) = sum_{j=0}^{n} Li_{dual(e_1...e_j)}(1/2) Li_{e_{j+1}...e_n}(1/2)
+
+where dual reverses a word and swaps 0 and 1, so dual(e_1...e_j) is the
+suffix of length j of dual(w).  A word ending in 1 has an index
+(c_1,...,c_m), one entry per block x0^{c-1} x1, and
+
+    Li_c(1/2) = sum_{n_1 > ... > n_m >= 1} 2^{-n_1} n_1^{-c_1} ... n_m^{-c_m}
+
+(Li of the empty word is 1).  Every factor is nonnegative, so products
+of lower (upper) ends of the factors bound zeta(w) from below (above).
+
+One sweep over n = 1..N gives Li of every suffix of a word: the suffix
+starting inside block i is (t, c_{i+1},...,c_m) with 1 <= t <= c_i, and
+
+    Li_{t,c_{i+1},...,c_m}(1/2) = sum_{n>=1} 2^{-n} n^{-t} Q_{i+1}(n-1),
+    Q_i(n) = Q_i(n-1) + n^{-c_i} Q_{i+1}(n-1),  Q_{m+1} = 1,
+
+so all suffixes share the nested partial sums Q.  All quantities are
+Python integers scaled by 2^B and rounded by floor division only, so each
+is a lower bound.  Rounding count: a floor loses less than one unit, and
+a loss e in Q_{i+1}(n-1) costs at most e/n after division by n^{c_i};
+by induction a Q with r levels is less than r*n units short after n
+steps.  A term of a depth-r suffix is then short by less than
+1 + (r-1)/2^n units and its head by less than N + r - 1 units.  Tail
+bound: Q_{i+1}(n-1) is a sum of at most C(n-1, r-1) <= n^{r-1}
+products that are each at most 1, so the tail after N is at most
+sum_{n>N} n^{r-1} 2^{-n} <= 4 (N+1)^{r-1} 2^{-N-1} once
+2 (N+2)^{r-1} <= 3 (N+1)^{r-1} (successive terms shrink by 3/4).  The
+upper end of each factor is its lower end plus both counts.
+
+B and N are sized from the target, and escalate only if the certified
+radius misses it.  The exact interval becomes a CertifiedReal: the value
+is the float nearest its midpoint, the radius the distance to the
+farther end, rounded up and at least one ulp of the value.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,37 +81,67 @@ class DivergentIndexError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """Requested error bound not reachable within the term budget."""
+    """Requested error bound not reachable: beyond the term budget at
+    depth 1, below the resolution of a float value at depth >= 2."""
+
+
+def _up(x):
+    """The next float above x, which bounds a rounded nonnegative sum or product."""
+    return math.nextafter(x, math.inf)
+
+
+def _float_up(q):
+    """The least float >= the rational q."""
+    f = float(q)
+    return f if Fraction(f) >= q else _up(f)
+
+
+def _enclose(center, radius):
+    """CertifiedReal of the exact interval center +/- radius (rationals)."""
+    value = float(center)
+    bound = _float_up(radius + abs(Fraction(value) - center))
+    return CertifiedReal(value, max(bound, math.ulp(value)))
+
+
+def _certified(x):
+    """x itself, or a CertifiedReal enclosing the number x."""
+    if isinstance(x, CertifiedReal):
+        return x
+    value = float(x)
+    return CertifiedReal(value, _float_up(abs(Fraction(value) - Fraction(x))))
 
 
 @dataclass(frozen=True)
 class CertifiedReal:
-    """A float with a rigorous symmetric error enclosure."""
+    """A float with a rigorous symmetric error enclosure.
+
+    Arithmetic rounds outward: the radius of a result adds one ulp of
+    the computed value for its rounding, and every float operation on
+    radii is rounded up.
+    """
 
     value: float
     error_bound: float
 
     def __add__(self, other):
-        if isinstance(other, CertifiedReal):
-            return CertifiedReal(self.value + other.value, self.error_bound + other.error_bound)
-        return CertifiedReal(self.value + other, self.error_bound)
+        other = _certified(other)
+        value = self.value + other.value
+        return CertifiedReal(value, _up(_up(self.error_bound + other.error_bound) + math.ulp(value)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, CertifiedReal):
-            return CertifiedReal(self.value - other.value, self.error_bound + other.error_bound)
-        return CertifiedReal(self.value - other, self.error_bound)
+        other = _certified(other)
+        value = self.value - other.value
+        return CertifiedReal(value, _up(_up(self.error_bound + other.error_bound) + math.ulp(value)))
 
     def __mul__(self, other):
-        if isinstance(other, CertifiedReal):
-            return CertifiedReal(
-                self.value * other.value,
-                abs(self.value) * other.error_bound
-                + abs(other.value) * self.error_bound
-                + self.error_bound * other.error_bound,
-            )
-        return CertifiedReal(self.value * float(other), self.error_bound * abs(float(other)))
+        other = _certified(other)
+        value = self.value * other.value
+        ea, eb = self.error_bound, other.error_bound
+        radius = _up(_up(abs(self.value) * eb) + _up(abs(other.value) * ea))
+        radius = _up(_up(radius + _up(ea * eb)) + math.ulp(value))
+        return CertifiedReal(value, radius)
 
     __rmul__ = __mul__
 
@@ -142,105 +206,138 @@ def _zeta_enclosure(s, target):
     return CertifiedReal(total + mid, rad_total)
 
 
-def _crude_constants(s):
-    """(p_j, c_j) of the inner-level remainder bound, per level."""
-    k = len(s)
-    p = [0.0] * (k + 1)
-    c = [0.0] * (k + 1)
-    p[k - 1] = s[k - 1] - 1.0
-    c[k - 1] = 1.0 / p[k - 1]
-    for j in range(k - 2, -1, -1):
-        p[j] = s[j] + p[j + 1] - 1.0
-        c[j] = c[j + 1] / p[j]
-    return p, c
+def _word(index):
+    """The {0, 1} word x0^{c_1-1} x1 ... x0^{c_m-1} x1 of a classical index."""
+    word = []
+    for c in index:
+        word += [0] * (c - 1) + [1]
+    return word
 
 
-def _nested_enclosure(s, N):
-    """Enclosure of the nested sum, truncating all indices at N."""
-    k = len(s)
-    p, c = _crude_constants(s)
-    # initial carries = enclosures of R_j(N+1)
-    tail_mid, tail_rad = _zeta_tail_enclosure(s[k - 1], N)
-    carry = [0.0] * k
-    rad_init = [0.0] * k
-    carry[k - 1] = tail_mid
-    rad_init[k - 1] = tail_rad
-    for j in range(k - 1):
-        bound = c[j] * float(N) ** (-p[j])
-        carry[j] = bound / 2.0
-        rad_init[j] = bound / 2.0
-    carry = [_LD(x) for x in carry]
-    psum = [_LD(0)] * k  # sum_{i<=N} i^{-s_j}, for error propagation
+def _blocks(word):
+    """The classical index of a word ending in 1 (inverse of _word)."""
+    index, zeros = [], 0
+    for e in word:
+        if e:
+            index.append(zeros + 1)
+            zeros = 0
+        else:
+            zeros += 1
+    return index
 
-    hi = N
-    while hi >= 1:
-        lo = max(1, hi - _BLOCK + 1)
-        i = np.arange(lo, hi + 1, dtype=_LD)
-        pows = [i ** _LD(-sj) for sj in s]
-        level_vals = [None] * k
-        for j in range(k - 1, -1, -1):
-            if j == k - 1:
-                contrib = pows[j]
-            else:
-                nxt = level_vals[j + 1]
-                shifted = np.empty_like(nxt)
-                shifted[:-1] = nxt[1:]
-                shifted[-1] = carry[j + 1]
-                contrib = pows[j] * shifted
-            # reversed cumulative sum + carry gives R_j on the block
-            rev = np.cumsum(contrib[::-1])[::-1] + carry[j]
-            level_vals[j] = rev
-            psum[j] += np.sum(pows[j])
-        # carries for the next (lower) block need R_j at index lo,
-        # but the shift above consumed the old carry, so update last
-        for j in range(k):
-            carry[j] = level_vals[j][0]
-        hi = lo - 1
 
-    value = float(carry[0])
-    # error propagation: rad_j(1) <= rad_init_j + P_j * rad_{j+1}
-    rad = rad_init[k - 1]
-    for j in range(k - 2, -1, -1):
-        rad = rad_init[j] + float(psum[j]) * rad
-    ops = float(N) * k
-    rad += 4.0 * _EPS_LD * ops ** 0.5 * max(1.0, value) + 64.0 * _EPS_LD
-    return value, rad
+def _ratio_below_three_quarters(N, r):
+    """(1 + 1/(N+1))^(r-1) / 2 <= 3/4: successive tail terms shrink by 3/4."""
+    return 2 * (N + 2) ** (r - 1) <= 3 * (N + 1) ** (r - 1)
+
+
+def _tail_units(N, r, B):
+    """Upper bound, in units 2^-B, of sum_{n>N} n^(r-1) 2^-n."""
+    if not _ratio_below_three_quarters(N, r):
+        raise RuntimeError("N = %d is too small for the depth-%d tail bound" % (N, r))
+    x, shift = (N + 1) ** (r - 1), B + 1 - N  # 4 (N+1)^(r-1) 2^(B-N-1)
+    return x << shift if shift >= 0 else -(-x >> -shift)
+
+
+def _terms(B, r):
+    """The least N >= B whose depth-r tail is at most N units 2^-B."""
+    N = B
+    while not _ratio_below_three_quarters(N, r) or _tail_units(N, r, B) > N:
+        N += 1
+    return N
+
+
+def _suffix_polylogs(index, B, N):
+    """Lower ends and widths (units 2^-B) of Li_u(1/2) for the suffixes u.
+
+    Entry L of each returned list belongs to the suffix of length L of
+    the word of ``index``; the empty suffix is exactly 1.
+    """
+    m = len(index)
+    q = [0] * m + [1 << B]  # q[i] = 2^B Q_{i+1}(n-1) for 0-based level i
+    heads = [[0] * c for c in index]  # heads[i][t-1]: suffix (t, index[i+1:])
+    for n in range(1, N + 1):
+        if not max(q) >> n:
+            break  # q at most doubles per step: every later term is 0 too
+        for i in range(m):  # q[i + 1] still holds step n - 1
+            v, row = q[i + 1], heads[i]
+            for t in range(index[i]):
+                v //= n  # floor(floor(x / n^t) / n) = floor(x / n^(t+1))
+                row[t] += v >> n  # one floor: floor(x / (n^(t+1) 2^n))
+            if i:
+                q[i] += v
+    lower, width = [1 << B], [0]
+    for i in reversed(range(m)):
+        r = m - i
+        slack = N + r - 1 + _tail_units(N, r, B)
+        for t in range(index[i]):
+            lower.append(heads[i][t])
+            width.append(slack)
+    return lower, width
+
+
+def _holder_interval(idx, B, N):
+    """Integers lo <= 2^(2B) zeta(idx) <= hi (increasing convention)."""
+    index = idx[::-1]
+    word = _word(index)
+    lo_w, dw = _suffix_polylogs(index, B, N)
+    lo_d, dd = _suffix_polylogs(_blocks([1 - e for e in reversed(word)]), B, N)
+    n = len(word)
+    lo = sum(lo_d[j] * lo_w[n - j] for j in range(n + 1))
+    hi = sum((lo_d[j] + dd[j]) * (lo_w[n - j] + dw[n - j]) for j in range(n + 1))
+    return lo, hi
+
+
+def _nested_eval(idx, target):
+    weight, depth = sum(idx), len(idx)
+    r = max(depth, weight - depth)  # the deepest suffix of the word or its dual
+    need = max(0, math.ceil(-math.log2(target)))
+    quarter = Fraction(target) / 4
+    B = need + 8
+    while True:
+        N = _terms(B, r)
+        # a factor is at most 1 and its width at most 2N + r units, so the
+        # half width is at most (weight + 1)(2N + r + 1) 2^-B: size B for
+        # target / 4
+        B_min = need + (4 * (weight + 1) * (2 * N + r + 1)).bit_length()
+        if B < B_min:
+            B = B_min
+            continue
+        lo, hi = _holder_interval(idx, B, N)
+        half = Fraction(hi - lo, 1 << (2 * B + 1))
+        enc = _enclose(Fraction(lo + hi, 1 << (2 * B + 1)), half)
+        if enc.error_bound <= target:
+            return enc
+        if half <= quarter:
+            raise PrecisionError(
+                "cannot certify %s to %g: the float value %r has radius at least %g"
+                % (idx, target, enc.value, enc.error_bound)
+            )
+        B += 8
 
 
 def mzv_eval(idx, target_error=1e-8):
     """Certified enclosure of a multizeta value.
 
-    Raises DivergentIndexError for inadmissible indices and
-    PrecisionError if the target cannot be met within the term budget.
+    Raises DivergentIndexError for inadmissible indices, ValueError for a
+    target that is not a positive finite number, and PrecisionError if
+    the target cannot be met (at depth 1 within the term budget, at depth
+    >= 2 below the resolution of a float value).
     """
     idx = _check_index(idx)
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
+    if not 0 < target_error < math.inf:
+        raise ValueError("target_error must be positive and finite: %r" % (target_error,))
     if len(idx) == 1:
         return _zeta_enclosure(idx[0], target_error)
-    s = [float(x) for x in idx]
-    p, c = _crude_constants(s)
-    # pick N from the crude bound, then verify and escalate if needed
-    N = 1 << 12
-    while N < MAX_TERMS:
-        est = sum(c[j] * float(N) ** (-p[j]) for j in range(len(s) - 1))
-        if est * (2.5 ** len(s)) < target_error / 2.0:
-            break
-        N *= 2
-    while True:
-        value, rad = _nested_enclosure(s, N)
-        if rad <= target_error:
-            return CertifiedReal(value, rad)
-        if N >= MAX_TERMS:
-            raise PrecisionError(
-                "cannot certify %s to %g (best %g at N=%d)"
-                % (idx, target_error, rad, N)
-            )
-        N = min(MAX_TERMS, N * 4)
+    return _nested_eval(idx, target_error)
 
 
 def zeta_specialize(q, target_error=1e-8):
-    """The ring homomorphism QSymm -> R on an element with admissible terms."""
+    """The ring homomorphism QSymm -> R on an element with admissible terms.
+
+    The exact rational coefficients scale the enclosures in exact
+    arithmetic; the sum is rounded once, outward.
+    """
     bad = [a for a in q.terms if not is_admissible(a)]
     if bad:
         raise DivergentIndexError(sorted(bad))
@@ -248,19 +345,20 @@ def zeta_specialize(q, target_error=1e-8):
     if not terms:
         return CertifiedReal(0.0, 0.0)
     budget = target_error / len(terms)
-    total = CertifiedReal(0.0, 0.0)
+    center = radius = Fraction(0)
     for alpha, coeff in terms:
-        fc = float(coeff)
-        enclosure = mzv_eval(alpha, budget / max(1.0, abs(fc)))
-        total = total + enclosure * fc
-    return total
+        c = Fraction(coeff)
+        enclosure = mzv_eval(alpha, budget / max(1.0, abs(float(c))))
+        center += c * Fraction(enclosure.value)
+        radius += abs(c) * Fraction(enclosure.error_bound)
+    return _enclose(center, radius)
 
 
 def homomorphism_check(a, b, tol=0.0, target_error=1e-6):
     """Numerically verify zeta(a) zeta(b) = zeta(a * b) (stuffle).
 
     Returns a report dict; 'passed' is True when the defect is within
-    tol plus the propagated enclosure radii.
+    tol plus the propagated enclosure radii, compared in exact rationals.
     """
     from .qsymm import quasi_shuffle
 
@@ -269,12 +367,12 @@ def homomorphism_check(a, b, tol=0.0, target_error=1e-6):
     prod = quasi_shuffle(a, b)
     zprod = zeta_specialize(prod, target_error)
     lhs = za * zb
-    defect = abs(lhs.value - zprod.value)
-    allowed = tol + lhs.error_bound + zprod.error_bound
+    defect = abs(Fraction(lhs.value) - Fraction(zprod.value))
+    allowed = Fraction(tol) + Fraction(lhs.error_bound) + Fraction(zprod.error_bound)
     return {
         "lhs": lhs.value,
         "rhs": zprod.value,
-        "defect": defect,
-        "allowed": allowed,
+        "defect": float(defect),
+        "allowed": _float_up(allowed),
         "passed": defect <= allowed,
     }

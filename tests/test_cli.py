@@ -92,6 +92,26 @@ class TestMzvCommand:
         assert code == 2
         assert json.loads(out)["code"] == "parse-error"
 
+    @pytest.mark.parametrize("error", ["nan", "inf", "-inf"])
+    def test_non_finite_error_exit_2(self, capsys, error):
+        code, out = run(["mzv", "eval", "--index", "(3)", "--error=" + error], capsys)
+        assert code == 2
+        assert json.loads(out)["code"] == "parse-error"
+
+    @pytest.mark.parametrize("error", ["NaN", "Infinity", '"1e-8"', "true"])
+    def test_non_number_error_in_config_exit_2(self, capsys, tmp_path, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"error": %s}' % error)
+        code, out = run(["mzv", "eval", "--index", "(2,3)", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(out)["code"] == "parse-error"
+
+    def test_depth_two_enclosure_meets_target(self, capsys):
+        code, out = run(["mzv", "eval", "--index", "(1,2)", "--error", "1e-12"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["value"] - 1.2020569031595942) <= report["error_bound"] <= 1e-12
+
 
 class TestTorCommand:
     def test_exterior_csv(self, capsys):

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hopfgenus import mzv
@@ -28,6 +30,12 @@ class TestAdmissibility:
     def test_bad_entries(self):
         with pytest.raises(ValueError):
             mzv.mzv_eval((0, 2))
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1e-8])
+    @pytest.mark.parametrize("idx", [(3,), (2, 3)])
+    def test_target_must_be_positive_and_finite(self, idx, target):
+        with pytest.raises(ValueError):
+            mzv.mzv_eval(idx, target)
 
 
 class TestDepthOne:
@@ -84,6 +92,25 @@ class TestCertifiedReal:
         prod = a * b
         assert prod.error_bound == pytest.approx(1.0 * 0.2 + 2.0 * 0.1 + 0.02)
 
+    def test_rounding_is_outward(self):
+        # exact rationals of the float operands: each result must enclose
+        # the exact sum, difference and product, also at radius 0
+        for x, y in [(0.1, 0.2), (1 / 3, 2 / 7), (1e16, 1.0), (math.pi, -math.e)]:
+            a, b = mzv.CertifiedReal(x, 0.0), mzv.CertifiedReal(y, 0.0)
+            fx, fy = Fraction(x), Fraction(y)
+            for enc, exact in [(a + b, fx + fy), (a - b, fx - fy), (a * b, fx * fy), (a * Fraction(1, 3), fx / 3)]:
+                assert abs(Fraction(enc.value) - exact) <= Fraction(enc.error_bound)
+                assert enc.error_bound > 0
+
+    @pytest.mark.parametrize("center", [Fraction(1, 3), Fraction(2, 3), Fraction(10, 7), Fraction(-5, 11)])
+    @pytest.mark.parametrize("scale", [0, Fraction(1, 10), Fraction(9, 10), 3])
+    def test_enclose_holds_both_ends(self, center, scale):
+        radius = scale * Fraction(math.ulp(float(center)))
+        enc = mzv._enclose(center, radius)
+        assert enc.value == float(center)
+        for end in (center - radius, center + radius):
+            assert abs(Fraction(enc.value) - end) <= Fraction(enc.error_bound)
+
     def test_contains_and_overlaps(self):
         a = mzv.CertifiedReal(1.0, 0.5)
         assert a.contains(1.4)
@@ -106,9 +133,211 @@ class TestSpecialization:
         enc = mzv.zeta_specialize(QSymmElement())
         assert enc.value == 0.0 and enc.error_bound == 0.0
 
+    def test_rational_coefficient_is_exact(self, mp, depth_two):
+        q = QSymmElement.monomial((2, 3), Q(1, 3)) + QSymmElement.monomial((5,), Q(-2, 7))
+        enc = mzv.zeta_specialize(q, 1e-12)
+        ref = depth_two[2, 3] / 3 - 2 * mp.zeta(5) / 7
+        assert abs(mp.mpf(enc.value) - ref) <= enc.error_bound <= 1.01e-12
+
     def test_homomorphism_depth_one(self):
         a = QSymmElement.monomial((2,))
         b = QSymmElement.monomial((2,))
         report = mzv.homomorphism_check(a, b, target_error=1e-8)
         assert report["passed"]
         assert report["defect"] <= report["allowed"]
+
+
+# -- the Hoelder evaluator for depth >= 2 against independent oracles ------
+
+TARGETS = (1e-4, 1e-8, 1e-12)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        yield mpmath.mp
+
+
+def _assert_encloses(mp, enc, ref, target):
+    assert math.ulp(enc.value) <= enc.error_bound <= target
+    assert abs(mp.mpf(enc.value) - ref) <= enc.error_bound
+
+
+def _depth_two_reference(mp, a, b):
+    """zeta(a, b) = sum_{i<j} i^-a j^-b (increasing convention)."""
+    if a == 1:
+        # Euler: the inner harmonic sum defeats the series acceleration
+        z = mp.zeta
+        return mp.mpf(b) / 2 * z(b + 1) - sum(z(b - k) * z(k + 1) for k in range(1, b - 1)) / 2
+    za = mp.zeta(a)
+    return mp.nsum(lambda j: (za - mp.zeta(a, j)) / j**b, [2, mp.inf])
+
+
+@pytest.fixture(scope="module")
+def depth_two(mp):
+    """Every admissible depth-2 index of weight <= 8 and its reference.
+
+    25 digits: the radii checked against them are above 1e-19.
+    """
+    with mp.workdps(25):
+        return {(a, w - a): _depth_two_reference(mp, a, w - a) for w in range(3, 9) for a in range(1, w - 1)}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+class TestHolderEvaluator:
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_ones_then_two_is_zeta_k(self, mp, k, target):
+        # zeta(1,2) = zeta(3), zeta(1,1,2) = zeta(4), ... (duality)
+        _assert_encloses(mp, mzv.mzv_eval((1,) * (k - 2) + (2,), target), mp.zeta(k), target)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_twos(self, mp, n, target):
+        ref = mp.pi ** (2 * n) / mp.factorial(2 * n + 1)
+        _assert_encloses(mp, mzv.mzv_eval((2,) * n, target), ref, target)
+
+    def test_depth_two_hurwitz(self, mp, depth_two, target):
+        for idx, ref in sorted(depth_two.items()):
+            _assert_encloses(mp, mzv.mzv_eval(idx, target), ref, target)
+
+    def test_depth_three_stuffle(self, mp, depth_two, target):
+        # zeta(a) zeta(b,c) = zeta(a,b,c) + zeta(b,a,c) + zeta(b,c,a)
+        #                     + zeta(a+b,c) + zeta(b,a+c)
+        for a in range(2, 5):
+            for b in range(1, 7 - a):
+                for c in range(2, 9 - a - b):
+                    encs = [mzv.mzv_eval(i, target) for i in ((a, b, c), (b, a, c), (b, c, a))]
+                    for enc in encs:
+                        assert math.ulp(enc.value) <= enc.error_bound <= target
+                    ref = mp.zeta(a) * depth_two[b, c] - depth_two[a + b, c] - depth_two[b, a + c]
+                    total = encs[0] + encs[1] + encs[2]
+                    assert abs(mp.mpf(total.value) - ref) <= total.error_bound
+
+
+def test_precision_error_below_float_resolution():
+    with pytest.raises(mzv.PrecisionError):
+        mzv.mzv_eval((2, 3), 1e-20)
+
+
+# The earlier depth >= 2 evaluator, kept here as a reference: long-double
+# nested partial sums truncated at N, crude inner remainder bounds and a
+# heuristic rounding allowance.
+_LD = np.longdouble
+_EPS_LD = float(np.finfo(_LD).eps)
+_BLOCK = 1 << 21
+
+
+def _old_crude_constants(s):
+    k = len(s)
+    p = [0.0] * (k + 1)
+    c = [0.0] * (k + 1)
+    p[k - 1] = s[k - 1] - 1.0
+    c[k - 1] = 1.0 / p[k - 1]
+    for j in range(k - 2, -1, -1):
+        p[j] = s[j] + p[j + 1] - 1.0
+        c[j] = c[j + 1] / p[j]
+    return p, c
+
+
+def _old_nested_enclosure(s, N):
+    k = len(s)
+    p, c = _old_crude_constants(s)
+    tail_mid, tail_rad = mzv._zeta_tail_enclosure(s[k - 1], N)
+    carry = [0.0] * k
+    rad_init = [0.0] * k
+    carry[k - 1] = tail_mid
+    rad_init[k - 1] = tail_rad
+    for j in range(k - 1):
+        bound = c[j] * float(N) ** (-p[j])
+        carry[j] = bound / 2.0
+        rad_init[j] = bound / 2.0
+    carry = [_LD(x) for x in carry]
+    psum = [_LD(0)] * k
+    hi = N
+    while hi >= 1:
+        lo = max(1, hi - _BLOCK + 1)
+        i = np.arange(lo, hi + 1, dtype=_LD)
+        pows = [i ** _LD(-sj) for sj in s]
+        level_vals = [None] * k
+        for j in range(k - 1, -1, -1):
+            if j == k - 1:
+                contrib = pows[j]
+            else:
+                nxt = level_vals[j + 1]
+                shifted = np.empty_like(nxt)
+                shifted[:-1] = nxt[1:]
+                shifted[-1] = carry[j + 1]
+                contrib = pows[j] * shifted
+            level_vals[j] = np.cumsum(contrib[::-1])[::-1] + carry[j]
+            psum[j] += np.sum(pows[j])
+        for j in range(k):
+            carry[j] = level_vals[j][0]
+        hi = lo - 1
+    value = float(carry[0])
+    rad = rad_init[k - 1]
+    for j in range(k - 2, -1, -1):
+        rad = rad_init[j] + float(psum[j]) * rad
+    ops = float(N) * k
+    rad += 4.0 * _EPS_LD * ops**0.5 * max(1.0, value) + 64.0 * _EPS_LD
+    return value, rad
+
+
+def _old_long_double_eval(idx, target_error):
+    s = [float(x) for x in idx]
+    p, c = _old_crude_constants(s)
+    N = 1 << 12
+    while N < mzv.MAX_TERMS:
+        est = sum(c[j] * float(N) ** (-p[j]) for j in range(len(s) - 1))
+        if est * (2.5 ** len(s)) < target_error / 2.0:
+            break
+        N *= 2
+    while True:
+        value, rad = _old_nested_enclosure(s, N)
+        if rad <= target_error:
+            return mzv.CertifiedReal(value, rad)
+        N *= 4
+
+
+@pytest.mark.parametrize("idx", [(2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (4, 4)])
+def test_overlaps_old_long_double_evaluator(idx):
+    old = _old_long_double_eval(idx, 1e-4)
+    new = mzv.mzv_eval(idx, 1e-4)
+    assert old.error_bound <= 1e-4 and new.error_bound <= 1e-4
+    assert new.overlaps(old)
+
+
+def _exact_suffix_polylogs(index, terms):
+    """Li_u(1/2) of every suffix u of the word of ``index``, summed to
+    ``terms`` in exact rationals, and a bound of the rest."""
+    out = [(Fraction(1), Fraction(0))]
+    for i in reversed(range(len(index))):
+        inner = index[i + 1:]
+        for t in range(1, index[i] + 1):
+            total, q = Fraction(0), [Fraction(0)] * len(inner) + [Fraction(1)]
+            for n in range(1, terms + 1):
+                total += q[0] / (Fraction(n) ** t * 2**n)
+                for j in range(len(inner)):
+                    q[j] += q[j + 1] / Fraction(n) ** inner[j]
+            rest = sum(Fraction(n ** len(inner), 2**n) for n in range(terms + 1, 4 * terms))
+            out.append((total, rest + Fraction(1, 2**terms)))
+    return out
+
+
+@pytest.mark.parametrize("index", [[2, 1], [3, 1, 1], [2, 1, 2, 1], [1, 1, 1, 2], [4]])
+@pytest.mark.parametrize("B", [20, 64])
+def test_suffix_polylogs_bracket_exact_sums(index, B):
+    # the proven rounding count and tail bound must bracket the exact sums
+    N = mzv._terms(B, len(index))
+    lower, width = mzv._suffix_polylogs(index, B, N)
+    exact = _exact_suffix_polylogs(index, 160)
+    assert len(lower) == len(width) == len(exact) == sum(index) + 1
+    for lo, w, (total, rest) in zip(lower, width, exact):
+        assert lo <= total * 2**B and (total + rest) * 2**B <= lo + w
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("B", [8, 40, 100])
+def test_tail_bound_is_an_upper_bound(r, B):
+    N = mzv._terms(B, r)
+    tail = sum(Fraction(n ** (r - 1), 2**n) for n in range(N + 1, N + 4000))
+    assert tail * 2**B <= mzv._tail_units(N, r, B) <= N
