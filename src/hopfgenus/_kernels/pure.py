@@ -7,8 +7,8 @@ A generator id packs ``(degree, family, index)`` into one integer:
 
 so sorting by gid sorts by (degree, family, index) and the degree of a
 monomial is recoverable without any side table.  Coefficients are opaque
-Python objects (gmpy2.mpq, Fraction, float, complex); the kernels only
-add, multiply and compare them with zero.
+Python objects (int, Fraction, float, complex); the kernels only add,
+multiply and compare them with zero.
 """
 
 BACKEND = "pure"
@@ -48,22 +48,14 @@ def monomial_mul(m1, m2):
     return tuple(out)
 
 
-def mul_terms(a, b, cap=-1):
-    """Convolve two term dicts, dropping products above total degree cap.
-
-    cap < 0 means no truncation.
-    """
+def mul_terms(a, b):
+    """Convolve two term dicts, dropping zero coefficients."""
     if len(a) > len(b):
         a, b = b, a
-    bl = [(monomial_degree(m), m, c) for m, c in b.items()]
-    if cap >= 0:
-        bl.sort(key=lambda t: t[0])
+    b_items = list(b.items())
     out = {}
     for ma, ca in a.items():
-        da = monomial_degree(ma)
-        for db, mb, cb in bl:
-            if cap >= 0 and da + db > cap:
-                break
+        for mb, cb in b_items:
             m = monomial_mul(ma, mb)
             prev = out.get(m)
             if prev is None:

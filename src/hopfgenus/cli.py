@@ -17,7 +17,7 @@ from . import acceptance as acceptance_mod
 from . import genus as genus_mod
 from . import homology, mzv, qsymm, symm
 from .core import ParseError, format_polynomial, parse_polynomial
-from .rational import Q, is_exact, rational_from_string, rational_to_string
+from .rational import is_exact, rational_from_string
 
 DEFAULTS = {
     "degree": 30,
@@ -62,8 +62,14 @@ def _effective_config(args):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg["degree"] < 1:
+    degree = cfg["degree"]
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise CLIError("config-error", "degree must be an integer, got %r" % (degree,), 2)
+    if degree < 1:
         raise CLIError("config-error", "degree must be >= 1", 2)
+    output = cfg["output"]
+    if output is not None and not isinstance(output, str):
+        raise CLIError("config-error", "output must be a path or null, got %r" % (output,), 2)
     error = cfg["error"]
     if isinstance(error, bool) or not isinstance(error, (int, float)) or not math.isfinite(error):
         raise CLIError("parse-error", "error must be a finite number, got %r" % (error,), 2)
@@ -95,7 +101,7 @@ def _config_echo(cfg):
 
 def _scalar_text(v):
     if is_exact(v):
-        return rational_to_string(v)
+        return str(v)
     return repr(v)
 
 

@@ -15,7 +15,7 @@ only the accumulator dict its caller created.
 import re
 
 from ._kernels import monomial_degree, monomial_mul, mul_terms
-from .rational import Q, is_exact, rational_from_string, rational_to_string
+from .rational import Q, is_exact, rational_from_string
 
 _FAM_SHIFT = 24
 _DEG_SHIFT = 32
@@ -185,7 +185,7 @@ class GradedPolynomial(LinearCombination):
 
     def __mul__(self, other):
         if isinstance(other, GradedPolynomial):
-            return GradedPolynomial(mul_terms(self.terms, other.terms, -1))
+            return GradedPolynomial(mul_terms(self.terms, other.terms))
         if other == 0:
             return GradedPolynomial.zero()
         return GradedPolynomial({m: c * other for m, c in self.terms.items()})
@@ -209,10 +209,6 @@ class GradedPolynomial(LinearCombination):
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def mul_truncated(self, other, cap):
-        """Product with terms above total degree ``cap`` dropped."""
-        return GradedPolynomial(mul_terms(self.terms, other.terms, cap))
 
     def truncate(self, cap):
         return GradedPolynomial(
@@ -350,7 +346,7 @@ class TruncatedSeries:
                 a = self.comps[i]
                 b = other.comps[k - i]
                 if a.terms and b.terms:
-                    add_into(acc, mul_terms(a.terms, b.terms, -1))
+                    add_into(acc, mul_terms(a.terms, b.terms))
             out.append(GradedPolynomial(acc))
         return TruncatedSeries(out)
 
@@ -365,7 +361,7 @@ class TruncatedSeries:
             for j in range(1, k + 1):
                 a = self.comps[j]
                 if a.terms and inv[k - j].terms:
-                    add_into(acc, mul_terms(a.terms, inv[k - j].terms, -1))
+                    add_into(acc, mul_terms(a.terms, inv[k - j].terms))
             inv.append(-GradedPolynomial(acc))
         return TruncatedSeries(inv)
 
@@ -380,7 +376,7 @@ class TruncatedSeries:
             for j in range(1, k + 1):
                 a = self.comps[j]
                 if a.terms and out[k - j].terms:
-                    add_into(acc, mul_terms(a.terms, out[k - j].terms, -1), Q(j))
+                    add_into(acc, mul_terms(a.terms, out[k - j].terms), Q(j))
             out.append(GradedPolynomial(acc) * Q(1, k))
         return TruncatedSeries(out)
 
@@ -394,7 +390,7 @@ class TruncatedSeries:
             acc = dict(self.comps[k].terms)
             for j in range(1, k):
                 if out[j].terms and self.comps[k - j].terms:
-                    add_into(acc, mul_terms(out[j].terms, self.comps[k - j].terms, -1), -Q(j, k))
+                    add_into(acc, mul_terms(out[j].terms, self.comps[k - j].terms), -Q(j, k))
             out.append(GradedPolynomial(acc))
         return TruncatedSeries(out)
 
@@ -630,7 +626,7 @@ def format_polynomial(poly):
     for mon, c in items:
         neg = c < 0
         mag = -c if neg else c
-        coeff_s = rational_to_string(mag)
+        coeff_s = str(mag)
         if mon == ():
             body = coeff_s
         elif mag == 1:

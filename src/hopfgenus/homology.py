@@ -18,7 +18,6 @@ tensor product).
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import InvariantError, add_into
 from .linalg import rank_rational
@@ -150,21 +149,21 @@ class TorTable:
 def _bar_words(A, length, internal):
     """Words of the given length in positive basis elements, total degree
     equal to ``internal``."""
-    pos = A.positive_indices()
-    out = []
+    return _words(A.degrees, A.positive_indices(), length, internal)
 
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            if budget == 0:
-                out.append(tuple(prefix))
-            return
-        for i in pos:
-            d = A.degrees[i]
-            if d <= budget - (remaining - 1):
-                rec(prefix + [i], remaining - 1, budget - d)
 
-    rec([], length, internal)
-    return out
+def _words(degrees, letters, remaining, budget):
+    # Module-level recursion: a nested closure that calls itself is a
+    # reference cycle, which keeps each call's word list alive until the
+    # cyclic garbage collector runs.
+    if remaining == 0:
+        return [()] if budget == 0 else []
+    return [
+        (i,) + rest
+        for i in letters
+        if degrees[i] <= budget - (remaining - 1)
+        for rest in _words(degrees, letters, remaining - 1, budget - degrees[i])
+    ]
 
 
 def _apply_bar_d(A, word):
@@ -190,9 +189,9 @@ def _diff_rank(A, words_src, words_tgt):
     col = {w: j for j, w in enumerate(words_tgt)}
     rows = []
     for w in words_src:
-        row = [Fraction(0)] * len(words_tgt)
+        row = [0] * len(words_tgt)
         for tgt, c in _apply_bar_d(A, w).items():
-            row[col[tgt]] = Fraction(int(c.numerator), int(c.denominator))
+            row[col[tgt]] = c
         rows.append(row)
     return rank_rational(rows)
 

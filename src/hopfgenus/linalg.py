@@ -1,28 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Rank goes through the fraction-free integer kernel; rref and nullspace
-use rational Gauss-Jordan (gmpy2.mpq makes pivot growth a non-issue at
-the sizes that occur here: at most a few hundred rows).
+use rational Gauss-Jordan (the matrices here have at most a few hundred
+rows).
 """
+
+from math import lcm
 
 from ._kernels import rank_bareiss
 from .rational import Q
 
 
-def _lcm(a, b):
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
 def rank_rational(rows):
-    """Exact rank of a matrix with rational entries."""
+    """Exact rank of a matrix with int or Fraction entries."""
     scaled = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = _lcm(den, int(x.denominator))
-        scaled.append([int(x * den) for x in row])
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
     return rank_bareiss(scaled)
 
 

@@ -314,6 +314,33 @@ class TestConfigHandling:
         code, out = run(["series", "--which", "THH", "--bound", "4", "--config", str(cfg)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("degree", ['"x"', "null", "true", "2.5", '"30"', "[30]"])
+    def test_non_integer_degree_in_config_exit_2(self, capsys, tmp_path, degree):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"degree": %s}' % degree)
+        code, out = run(["series", "--which", "THH", "--bound", "4", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(out)["code"] == "config-error"
+
+    @pytest.mark.parametrize("output", ["2.5", "1", "true", "[]", "{}"])
+    def test_non_path_output_in_config_exit_2(self, capsys, tmp_path, output):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"output": %s}' % output)
+        code, out = run(["series", "--which", "THH", "--bound", "4", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(out)["code"] == "config-error"
+        # stdout is still open and usable afterwards
+        code, out = run(["series", "--which", "THH", "--bound", "4"], capsys)
+        assert code == 0 and out
+
+    def test_null_output_in_config_prints(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"output": null, "degree": 12}')
+        code, out = run(["series", "--which", "sOmega", "--bound", "5", "--config", str(cfg)], capsys)
+        assert code == 0
+        _, plain = run(["series", "--which", "sOmega", "--bound", "5"], capsys)
+        assert out == plain
+
     def test_determinism(self, capsys):
         argv = ["series", "--which", "sOmega", "--bound", "15", "--format", "json"]
         _, out1 = run(argv, capsys)

@@ -97,10 +97,13 @@ class TestGradedPolynomial:
         assert p.homogeneous_part(3) == poly("c[1]*c[2]")
         assert p.max_degree() == 4
 
-    def test_mul_truncated_matches_full(self):
-        a = poly("1 + c[1] + c[2]")
-        b = poly("1 + c[1] + c[3]")
-        assert a.mul_truncated(b, 3) == (a * b).truncate(3)
+    def test_truncate_drops_terms_above_cap(self):
+        p = poly("1 + c[1] + c[2] + c[1]*c[2] + c[3] + c[1]*c[3]")
+        assert p.truncate(-1) == GradedPolynomial.zero()
+        assert p.truncate(0) == GradedPolynomial.one()
+        assert p.truncate(2) == poly("1 + c[1] + c[2]")
+        assert p.truncate(3) == poly("1 + c[1] + c[2] + c[1]*c[2] + c[3]")
+        assert p.truncate(4) == p
 
     def test_substitute(self):
         p = poly("c[2]^2 + c[1]")

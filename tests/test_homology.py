@@ -1,8 +1,12 @@
+import gc
+from fractions import Fraction
 from itertools import combinations
+from math import comb, gcd
 
 import pytest
 
 from hopfgenus import homology as H
+from hopfgenus._kernels import pure
 from hopfgenus.rational import Q
 
 
@@ -92,6 +96,134 @@ class TestTorViaBar:
         poly = H.polynomial_hilbert([6, 10], 22)
         words = H.word_series([6, 10], 22)
         assert all(p <= w for p, w in zip(poly, words))
+
+
+def _old_bar_words(A, length, internal):
+    # Test-only copy of the earlier nested-closure enumeration.
+    pos = A.positive_indices()
+    out = []
+
+    def rec(prefix, remaining, budget):
+        if remaining == 0:
+            if budget == 0:
+                out.append(tuple(prefix))
+            return
+        for i in pos:
+            d = A.degrees[i]
+            if d <= budget - (remaining - 1):
+                rec(prefix + [i], remaining - 1, budget - d)
+
+    rec([], length, internal)
+    return out
+
+
+class TestBarWords:
+    ALGEBRAS = [
+        H.exterior_algebra([3, 5, 7, 9], 24),
+        H.square_zero_extension([2, 3, 5], 20),
+        H.GradedAlgebraPresentation(("1",), (0,), {}, 10),
+    ]
+
+    @pytest.mark.parametrize("algebra", ALGEBRAS)
+    def test_same_words_in_same_order(self, algebra):
+        for s in range(6):
+            for t in range(algebra.truncation + 1):
+                assert H._bar_words(algebra, s, t) == _old_bar_words(algebra, s, t)
+
+    def test_leaves_no_cyclic_garbage(self):
+        algebra = H.square_zero_extension([2, 3, 5], 20)
+        gc.collect()
+        gc.disable()
+        try:
+            for t in range(21):
+                H._bar_words(algebra, 4, t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def _old_rank_rational(rows):
+    # Test-only copy of the earlier rank path: every entry re-wrapped as a
+    # Fraction, denominators cleared by a pairwise lcm and Fraction products.
+    scaled = []
+    for row in rows:
+        den = 1
+        for x in row:
+            den = den // gcd(den, int(x.denominator)) * int(x.denominator)
+        scaled.append([int(x * den) for x in row])
+    return pure.rank_bareiss(scaled)
+
+
+def _old_diff_rank(A, words_src, words_tgt):
+    if not words_src or not words_tgt:
+        return 0
+    col = {w: j for j, w in enumerate(words_tgt)}
+    rows = []
+    for w in words_src:
+        row = [Fraction(0)] * len(words_tgt)
+        for tgt, c in H._apply_bar_d(A, w).items():
+            row[col[tgt]] = Fraction(int(c.numerator), int(c.denominator))
+        rows.append(row)
+    return _old_rank_rational(rows)
+
+
+def divided_power_algebra(truncation):
+    """Q[x], |x| = 2, in the basis g_a = a! x^a: g_a g_b = g_{a+b} / C(a+b, a)."""
+    top = truncation // 2
+    labels = ("1",) + tuple("g%d" % a for a in range(1, top + 1))
+    degrees = tuple(2 * a for a in range(top + 1))
+    mult = {
+        (a, b): ((a + b, Q(1, comb(a + b, a))),)
+        for a in range(1, top + 1)
+        for b in range(1, top + 1 - a)
+    }
+    return H.GradedAlgebraPresentation(labels, degrees, mult, truncation)
+
+
+class TestAgainstOldRankPath:
+    """``tor_via_bar`` equals the same computation with the earlier
+    ``_diff_rank``/``rank_rational`` path installed."""
+
+    @pytest.mark.parametrize(
+        "build,bound",
+        [
+            pytest.param(lambda: H.exterior_algebra([3, 5, 7], 20), 20, id="exterior[3,5,7]@20"),
+            pytest.param(lambda: H.square_zero_extension([2, 3, 5], 20), 20, id="squarezero[2,3,5]@20"),
+            pytest.param(lambda: H.exterior_algebra([5, 9], 24), 24, id="exterior[5,9]@24"),
+            pytest.param(lambda: H.square_zero_extension([5, 9], 22), 22, id="squarezero[5,9]@22"),
+            pytest.param(lambda: divided_power_algebra(16), 16, id="dividedpower@16"),
+        ],
+    )
+    def test_same_table(self, monkeypatch, build, bound):
+        algebra = build()
+        new = H.tor_via_bar(algebra, bound)
+        monkeypatch.setattr(H, "_diff_rank", _old_diff_rank)
+        assert new.dims == H.tor_via_bar(algebra, bound).dims
+
+
+class TestDividedPowers:
+    def test_presentation_is_associative(self):
+        algebra = divided_power_algebra(16)
+        assert algebra.is_associative()
+        assert any(c.denominator > 1 for prods in algebra.mult.values() for _, c in prods)
+
+    def test_rank_path_sees_denominators(self, monkeypatch):
+        seen = []
+        rank_rational = H.rank_rational
+
+        def recording_rank(rows):
+            seen.extend(x.denominator for row in rows for x in row)
+            return rank_rational(rows)
+
+        monkeypatch.setattr(H, "rank_rational", recording_rank)
+        H.tor_via_bar(divided_power_algebra(16), 16)
+        assert max(seen) > 1
+
+    def test_tor_is_exterior_on_one_class(self):
+        # Tor over Q[x], |x| = 2, is exterior on one class in total degree 3
+        table = H.tor_via_bar(divided_power_algebra(16), 16)
+        assert table.total_series() == [1 if n in (0, 3) else 0 for n in range(17)]
+        assert table.nonzero() == [(0, 0, 1), (1, 2, 1)]
 
 
 class TestSeries:

@@ -1,5 +1,8 @@
 """Known values of the pure-Python kernels, the package's only backend."""
 
+import random
+from fractions import Fraction
+
 import hopfgenus
 from hopfgenus import core, linalg
 from hopfgenus._kernels import BACKEND, pure
@@ -29,3 +32,81 @@ class TestBackendAgreement:
         assert pure.rank_bareiss([[1, 2], [3, 4]]) == 2
         assert pure.rank_bareiss([[0, 0], [0, 0]]) == 0
         assert pure.rank_bareiss([]) == 0
+
+
+def _random_matrix(rng, nrows, ncols):
+    """Entries mix int and Fraction (denominators up to 12); some rows are
+    zero and some are combinations of earlier rows, so ranks fall short."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([0] * ncols)
+        elif kind < 0.4 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            p, q = Fraction(rng.randint(-3, 3), rng.randint(1, 12)), rng.randint(-2, 2)
+            rows.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            rows.append([
+                0 if rng.random() < 0.4
+                else rng.randint(-5, 5) if rng.random() < 0.5
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for _ in range(ncols)
+            ])
+    return rows
+
+
+class TestRankRational:
+    """``linalg.rank_rational`` against the pivot count of ``linalg.rref``,
+    an independent rational Gauss-Jordan."""
+
+    def test_matches_rref_pivots(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+            assert linalg.rank_rational(m) == len(linalg.rref(m)[1])
+
+    def test_degenerate_shapes(self):
+        for m in ([], [[]], [[0]], [[0, 0], [0, 0]], [[Fraction(0)]]):
+            assert linalg.rank_rational(m) == len(linalg.rref(m)[1]) == 0
+
+    def test_denominators_are_cleared_per_row(self):
+        m = [[Fraction(1, 6), Fraction(1, 4)], [Fraction(2, 3), 1]]
+        assert linalg.rank_rational(m) == 1
+        assert linalg.rank_rational([[Fraction(1, 12), 0], [0, Fraction(5, 7)]]) == 2
+
+    def test_input_not_modified(self):
+        m = [[Fraction(1, 2), 3], [1, Fraction(-2, 5)]]
+        before = [[(type(x), x) for x in row] for row in m]
+        linalg.rank_rational(m)
+        assert [[(type(x), x) for x in row] for row in m] == before
+
+
+def _old_mul_terms(a, b):
+    # Test-only copy of the earlier kernel's untruncated path (cap < 0).
+    if len(a) > len(b):
+        a, b = b, a
+    bl = [(pure.monomial_degree(m), m, c) for m, c in b.items()]
+    out = {}
+    for ma, ca in a.items():
+        for db, mb, cb in bl:
+            m = pure.monomial_mul(ma, mb)
+            prev = out.get(m)
+            out[m] = ca * cb if prev is None else prev + ca * cb
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _random_terms(rng, n):
+    gids = [gen_id("c", k) for k in range(1, 5)]
+    terms = {}
+    for _ in range(n):
+        mon = tuple((g, rng.randint(1, 3)) for g in gids if rng.random() < 0.5)
+        terms[mon] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return terms
+
+
+def test_mul_terms_same_items_in_same_order_as_untruncated_kernel():
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = _random_terms(rng, rng.randint(0, 6)), _random_terms(rng, rng.randint(0, 6))
+        assert list(pure.mul_terms(a, b).items()) == list(_old_mul_terms(a, b).items())
