@@ -13,7 +13,7 @@ import time
 from . import genus as genus_mod
 from . import homology, mzv, qsymm, symm
 from .core import GradedPolynomial, PowerSeries1
-from .rational import Q
+from .rational import Q, divide
 
 GAMMA_TOL = 1e-10
 ZETA2_TOL = 1e-8
@@ -55,7 +55,7 @@ def _check_primitives(config):
             v = basis[0].value
             # proportionality: v and nk must be parallel
             mon = next(iter(nk.terms))
-            ratio = v.coefficient(mon) / nk.coefficient(mon)
+            ratio = divide(v.coefficient(mon), nk.coefficient(mon))
             if ratio == 0 or v != nk * ratio:
                 return "fail", "weight %d primitive is not a multiple of N_%d" % (k, k)
     return "pass", "BUmodSO primitives: dim 1 in odd weights, spanned by N_k"

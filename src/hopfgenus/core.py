@@ -6,6 +6,13 @@ integer id (see ``_kernels.pure``).  The canonical text format is
 ``3*c[1]^2 - 2*c[2]`` with integer or ``p/q`` coefficients; parser and
 printer round-trip bit-exactly.
 
+Exact coefficients follow the rule of ``rational``: an integral value is
+an ``int`` and a ``Fraction`` has denominator > 1.  Units, generators,
+parsed coefficients, scalar products, exact divisions and the series
+``exp``, ``log`` and ``inverse`` all produce canonical coefficients, so
+integral algebra never leaves the integers; the kernels multiply and
+add whatever coefficients they are given.
+
 Everything here is immutable-by-convention and pure: operations return
 new values and never mutate their inputs.  The one exception is
 ``add_into``, the package's single sparse accumulation, which mutates
@@ -15,7 +22,7 @@ only the accumulator dict its caller created.
 import re
 
 from ._kernels import monomial_degree, monomial_mul, mul_terms
-from .rational import Q, is_exact, rational_from_string
+from .rational import Q, canonical, divide, rational_from_string
 
 _FAM_SHIFT = 24
 _DEG_SHIFT = 32
@@ -137,10 +144,11 @@ class GradedPolynomial(LinearCombination):
     """Finite map from monomials to exact rational coefficients.
 
     The term dict maps sorted (gid, exponent) tuples to nonzero
-    coefficients.  Coefficients are normally exact rationals but the
-    arithmetic is coefficient-agnostic; float/complex coefficients are
-    used by the numerical genus deformations.  Scalars added to or
-    subtracted from a polynomial act as constants.
+    coefficients.  Exact coefficients are ``int`` when integral and
+    ``Fraction`` otherwise (see ``rational``); the arithmetic is
+    coefficient-agnostic, and float/complex coefficients are used by the
+    numerical genus deformations.  Scalars added to or subtracted from a
+    polynomial act as constants.
     """
 
     __slots__ = ()
@@ -153,22 +161,22 @@ class GradedPolynomial(LinearCombination):
     def constant(cls, c):
         if c == 0:
             return cls({})
-        return cls({(): c})
+        return cls({(): canonical(c)})
 
     @classmethod
     def one(cls):
-        return cls({(): Q(1)})
+        return cls({(): 1})
 
     @classmethod
     def generator(cls, family, index, degree=None, coeff=None):
         g = gen_id(family, index, degree)
-        return cls({((g, 1),): Q(1) if coeff is None else coeff})
+        return cls({((g, 1),): 1 if coeff is None else canonical(coeff)})
 
     def constant_term(self):
-        return self.terms.get((), Q(0))
+        return self.terms.get((), 0)
 
     def coefficient(self, mon):
-        return self.terms.get(tuple(mon), Q(0))
+        return self.terms.get(tuple(mon), 0)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -188,15 +196,16 @@ class GradedPolynomial(LinearCombination):
             return GradedPolynomial(mul_terms(self.terms, other.terms))
         if other == 0:
             return GradedPolynomial.zero()
-        return GradedPolynomial({m: c * other for m, c in self.terms.items()})
+        return GradedPolynomial({m: canonical(c * other) for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         if other == 0:
             return GradedPolynomial.zero()
-        return GradedPolynomial({m: other * c for m, c in self.terms.items()})
+        return GradedPolynomial({m: canonical(other * c) for m, c in self.terms.items()})
 
     def __truediv__(self, scalar):
-        return GradedPolynomial({m: c / scalar for m, c in self.terms.items()})
+        """Divide every coefficient by ``scalar``, exactly when both are exact."""
+        return GradedPolynomial({m: divide(c, scalar) for m, c in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -252,7 +261,7 @@ class GradedPolynomial(LinearCombination):
             for gid, e in mon:
                 img = images.get(gid)
                 if img is None:
-                    prod = prod * GradedPolynomial({((gid, e),): Q(1)})
+                    prod = prod * GradedPolynomial({((gid, e),): 1})
                     continue
                 key = (gid, e)
                 p = cache.get(key)
@@ -261,7 +270,7 @@ class GradedPolynomial(LinearCombination):
                     cache[key] = p
                 prod = prod * p
             add_into(result, prod.terms)
-        return GradedPolynomial(result)
+        return GradedPolynomial({m: canonical(c) for m, c in result.items()})
 
     def __repr__(self):
         return "GradedPolynomial(%s)" % format_polynomial(self)
@@ -362,36 +371,48 @@ class TruncatedSeries:
                 a = self.comps[j]
                 if a.terms and inv[k - j].terms:
                     add_into(acc, mul_terms(a.terms, inv[k - j].terms))
-            inv.append(-GradedPolynomial(acc))
+            inv.append(GradedPolynomial({m: canonical(-c) for m, c in acc.items()}))
         return TruncatedSeries(inv)
 
     def exp(self):
-        """Exponential; requires zero constant term and exact coefficients."""
+        """Exponential; requires zero constant term and exact coefficients.
+
+        k out_k = sum_j (j a_j) out_{k-j}: the j a_j are formed once, the
+        sum is taken in the coefficients' own type and each coefficient
+        is divided exactly by k.
+        """
         if self.comps[0].terms:
             raise ConstantTermError("series exp needs zero constant term")
         D = self.bound
+        scaled = [a * j for j, a in enumerate(self.comps)]
         out = [GradedPolynomial.one()]
         for k in range(1, D + 1):
             acc = {}
             for j in range(1, k + 1):
-                a = self.comps[j]
-                if a.terms and out[k - j].terms:
-                    add_into(acc, mul_terms(a.terms, out[k - j].terms), Q(j))
-            out.append(GradedPolynomial(acc) * Q(1, k))
+                b = scaled[j]
+                if b.terms and out[k - j].terms:
+                    add_into(acc, mul_terms(b.terms, out[k - j].terms))
+            out.append(GradedPolynomial(acc) / k)
         return TruncatedSeries(out)
 
     def log(self):
-        """Logarithm; requires constant term 1."""
+        """Logarithm; requires constant term 1.
+
+        k out_k = k a_k - sum_{0<j<k} (j out_j) a_{k-j}, divided exactly
+        by k as in ``exp``.
+        """
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series log needs constant term 1")
         D = self.bound
         out = [GradedPolynomial.zero()]
+        scaled = [GradedPolynomial.zero()]  # j out_j
         for k in range(1, D + 1):
-            acc = dict(self.comps[k].terms)
+            acc = dict((self.comps[k] * k).terms)
             for j in range(1, k):
-                if out[j].terms and self.comps[k - j].terms:
-                    add_into(acc, mul_terms(out[j].terms, self.comps[k - j].terms), -Q(j, k))
-            out.append(GradedPolynomial(acc))
+                if scaled[j].terms and self.comps[k - j].terms:
+                    add_into(acc, mul_terms(scaled[j].terms, self.comps[k - j].terms), -1)
+            scaled.append(GradedPolynomial(acc))
+            out.append(scaled[k] / k)
         return TruncatedSeries(out)
 
     def __repr__(self):
@@ -419,18 +440,18 @@ class PowerSeries1:
 
     @classmethod
     def zero(cls, bound):
-        return cls([Q(0)] * (bound + 1))
+        return cls([0] * (bound + 1))
 
     @classmethod
     def one(cls, bound):
-        c = [Q(0)] * (bound + 1)
-        c[0] = Q(1)
+        c = [0] * (bound + 1)
+        c[0] = 1
         return cls(c)
 
     @classmethod
     def x(cls, bound):
-        c = [Q(0)] * (bound + 1)
-        c[1] = Q(1)
+        c = [0] * (bound + 1)
+        c[1] = 1
         return cls(c)
 
     def _check(self, other):
@@ -474,36 +495,36 @@ class PowerSeries1:
         if self.coeffs[0] != 1:
             raise ConstantTermError("series inverse needs constant term 1")
         D = self.bound
-        inv = [self.coeffs[0] ** 0]  # 1 in the coefficient's type
+        inv = [canonical(self.coeffs[0] ** 0)]  # 1 in the coefficient's type
         for k in range(1, D + 1):
             acc = 0
             for j in range(1, k + 1):
                 acc = acc + self.coeffs[j] * inv[k - j]
-            inv.append(-acc)
+            inv.append(canonical(-acc))
         return PowerSeries1(inv)
 
     def exp(self):
         if self.coeffs[0] != 0:
             raise ConstantTermError("series exp needs zero constant term")
         D = self.bound
-        out = [self.coeffs[1] ** 0 if D >= 1 else 1]
+        out = [canonical(self.coeffs[1] ** 0) if D >= 1 else 1]
         for k in range(1, D + 1):
             acc = 0
             for j in range(1, k + 1):
                 acc = acc + j * self.coeffs[j] * out[k - j]
-            out.append(acc / k)
+            out.append(divide(acc, k))
         return PowerSeries1(out)
 
     def log(self):
         if self.coeffs[0] != 1:
             raise ConstantTermError("series log needs constant term 1")
         D = self.bound
-        out = [0 * self.coeffs[0]]
+        out = [canonical(0 * self.coeffs[0])]
         for k in range(1, D + 1):
             acc = self.coeffs[k]
             for j in range(1, k):
                 acc = acc - Q(j, k) * out[j] * self.coeffs[k - j]
-            out.append(acc)
+            out.append(canonical(acc))
         return PowerSeries1(out)
 
     def compose(self, inner):
@@ -573,7 +594,7 @@ def parse_polynomial(text, degree_of=None):
         nonlocal sign, coeff, gens, started
         if not started:
             return
-        c = Q(1) if coeff is None else coeff
+        c = 1 if coeff is None else coeff
         if sign < 0:
             c = -c
         add_into(terms, ((tuple(sorted(gens.items())), c),))

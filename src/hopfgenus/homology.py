@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .core import InvariantError, add_into
 from .linalg import rank_rational
 from .qsymm import polynomial_hilbert, word_series
-from .rational import Q
 
 
 class TruncationError(ValueError):
@@ -59,9 +58,9 @@ class GradedAlgebraPresentation:
     def multiply(self, i, j):
         """Product of two positive basis elements, as (index, coeff) pairs."""
         if i == 0:
-            return ((j, Q(1)),)
+            return ((j, 1),)
         if j == 0:
-            return ((i, Q(1)),)
+            return ((i, 1),)
         return self.mult.get((i, j), ())
 
     def is_associative(self):
@@ -111,7 +110,7 @@ def exterior_algebra(gen_degrees, truncation):
                 continue  # above truncation
             # Koszul sign: all generators odd, so count inversions
             inv = sum(1 for a in si for b in sj if a > b)
-            mult[(i, j)] = ((index[merged], Q(-1 if inv % 2 else 1)),)
+            mult[(i, j)] = ((index[merged], -1 if inv % 2 else 1),)
     return GradedAlgebraPresentation(tuple(labels), tuple(degrees), mult, truncation)
 
 

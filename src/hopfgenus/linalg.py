@@ -2,13 +2,13 @@
 
 Rank goes through the fraction-free integer kernel; rref and nullspace
 use rational Gauss-Jordan (the matrices here have at most a few hundred
-rows).
+rows) and return canonical coefficients: ``int`` where integral.
 """
 
 from math import lcm
 
 from ._kernels import rank_bareiss
-from .rational import Q
+from .rational import Q, canonical
 
 
 def rank_rational(rows):
@@ -47,19 +47,19 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [[canonical(x) for x in row] for row in m[:r]], pivots
 
 
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the matrix, as lists of rationals."""
     if not rows:
-        return [[Q(1) if j == i else Q(0) for j in range(ncols)] for i in range(ncols)]
+        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(v)

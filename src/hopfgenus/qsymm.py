@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .core import GradedPolynomial, InvariantError, LinearCombination, add_into, gen_id
-from .rational import Q
+from .rational import canonical
 from . import symm
 
 
@@ -47,16 +47,16 @@ class QSymmElement(LinearCombination):
 
     @classmethod
     def monomial(cls, alpha, coeff=None):
-        return cls({check_composition(alpha): Q(1) if coeff is None else coeff})
+        return cls({check_composition(alpha): 1 if coeff is None else canonical(coeff)})
 
     @classmethod
     def one(cls):
-        return cls({(): Q(1)})
+        return cls({(): 1})
 
     def scale(self, s):
         if s == 0:
             return QSymmElement()
-        return QSymmElement({a: c * s for a, c in self.terms.items()})
+        return QSymmElement({a: canonical(c * s) for a, c in self.terms.items()})
 
     def __mul__(self, other):
         return quasi_shuffle(self, other)
@@ -110,7 +110,7 @@ def deconcatenation_coproduct(x):
 
 def pairing(word, x):
     """Duality pairing <word, M_alpha> = delta_{word, alpha}, extended."""
-    return x.terms.get(tuple(word), Q(0))
+    return x.terms.get(tuple(word), 0)
 
 
 def symm_into_qsymm(f):
@@ -130,11 +130,11 @@ class NSymmElement(LinearCombination):
 
     @classmethod
     def word(cls, w, coeff=None):
-        return cls({check_composition(w): Q(1) if coeff is None else coeff})
+        return cls({check_composition(w): 1 if coeff is None else canonical(coeff)})
 
     @classmethod
     def one(cls):
-        return cls({(): Q(1)})
+        return cls({(): 1})
 
     def __mul__(self, other):
         out = {}
@@ -295,7 +295,7 @@ def _log_int_series(coeffs, bound):
     """Rational log of an integer series with constant term 1."""
     from .core import PowerSeries1
 
-    s = PowerSeries1([Q(c) for c in coeffs[: bound + 1]])
+    s = PowerSeries1(coeffs[: bound + 1])
     return s.log().coeffs
 
 

@@ -32,7 +32,7 @@ from .core import (
     gid_index,
     monomial_degree,
 )
-from .rational import Q
+from .rational import divide
 
 E, P, H, M = "E", "P", "H", "M"
 BASES = (E, P, H, M)
@@ -142,18 +142,18 @@ def _gen_table(src, tgt, D):
     if src in (E, H) and tgt == P:
         sign = -1 if src == E else 1
         arg = [GradedPolynomial.zero()] + [
-            GradedPolynomial.generator("N", k, coeff=Q(sign ** (k - 1), k))
+            GradedPolynomial.generator("N", k, coeff=divide(sign ** (k - 1), k))
             for k in range(1, D + 1)
         ]
         return tuple(TruncatedSeries(arg).exp().comps[1:])
     if src == P and tgt in (E, H):
         sign = -1 if tgt == E else 1
         log = _generating_series(FAMILY[tgt], D).log()
-        return tuple(c * Q(sign ** (k - 1) * k) for k, c in enumerate(log.comps[1:], 1))
+        return tuple(c * (sign ** (k - 1) * k) for k, c in enumerate(log.comps[1:], 1))
     if (src, tgt) in ((E, H), (H, E)):
         # e_k = (-1)^k [t^k] 1/H(t) and h_k = (-1)^k [t^k] 1/E(t)
         inv = _generating_series(FAMILY[tgt], D).inverse()
-        return tuple(c * Q((-1) ** k) for k, c in enumerate(inv.comps[1:], 1))
+        return tuple(c * (-1) ** k for k, c in enumerate(inv.comps[1:], 1))
     raise ValueError("no conversion %s -> %s" % (src, tgt))
 
 
@@ -190,8 +190,8 @@ def _p_times_m(r, mu):
 def _p_lambda_in_m(lam):
     """Expansion of p_lambda = prod p_r in the m basis."""
     if not lam:
-        return (((), Q(1)),)
-    acc = {(): Q(1)}
+        return (((), 1),)
+    acc = {(): 1}
     for r in lam:
         nxt = {}
         for mu, c in acc.items():
@@ -207,13 +207,13 @@ def _m_in_p_weight(w):
     index = {lam: i for i, lam in enumerate(lams)}
     n = len(lams)
     # A[i][j] = coefficient of m_{lams[j]} in p_{lams[i]}
-    A = [[Q(0)] * n for _ in range(n)]
+    A = [[0] * n for _ in range(n)]
     for i, lam in enumerate(lams):
         for nu, c in _p_lambda_in_m(lam):
             A[i][index[nu]] += c
     # row lambda of A^{-1} is m_lambda in the p basis; read it off rref [A | I]
     red, pivots = linalg.rref(
-        [row + [Q(1) if j == i else Q(0) for j in range(n)] for i, row in enumerate(A)]
+        [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(A)]
     )
     if pivots != list(range(n)):
         raise InvariantError("p-to-m matrix of weight %d is singular" % w)
@@ -280,7 +280,7 @@ def d_classes(D):
     num = [GradedPolynomial.one()]
     den = [GradedPolynomial.one()]
     for k in range(1, D + 1):
-        num.append(GradedPolynomial.generator("c", k, coeff=Q((-1) ** k)))
+        num.append(GradedPolynomial.generator("c", k, coeff=(-1) ** k))
         den.append(GradedPolynomial.generator("c", k))
     return TruncatedSeries(num) * TruncatedSeries(den).inverse()
 
@@ -292,7 +292,7 @@ def d_classes_exp_form(D):
     converted and the exponential taken in the c basis.
     """
     arg = GradedPolynomial(
-        {((gen_id("N", k), 1),): Q(-2, k) for k in range(1, D + 1, 2)}
+        {((gen_id("N", k), 1),): divide(-2, k) for k in range(1, D + 1, 2)}
     )
     in_e = _convert_multiplicative(arg, P, E)
     return TruncatedSeries.from_polynomial(in_e, D).exp()
@@ -304,7 +304,7 @@ def a_classes(D):
     alt = [GradedPolynomial.one()]
     for k in range(1, D + 1):
         plain.append(GradedPolynomial.generator("b", k))
-        alt.append(GradedPolynomial.generator("b", k, coeff=Q((-1) ** k)))
+        alt.append(GradedPolynomial.generator("b", k, coeff=(-1) ** k))
     return TruncatedSeries(plain) * TruncatedSeries(alt)
 
 
@@ -361,7 +361,7 @@ def _coproduct_c(n):
     for i in range(n + 1):
         left = () if i == 0 else ((gen_id("c", i), 1),)
         right = () if i == n else ((gen_id("c", n - i), 1),)
-        terms[(left, right)] = Q(1)
+        terms[(left, right)] = 1
     return HopfTensor(terms)
 
 
@@ -402,7 +402,7 @@ def coassociativity_defect(f):
     def expand(side):
         out = {}
         for (l, r), c in delta.terms.items():
-            inner = coproduct(SymmFn(E, GradedPolynomial({(l if side == 0 else r): Q(1)})))
+            inner = coproduct(SymmFn(E, GradedPolynomial({(l if side == 0 else r): 1})))
             add_into(
                 out,
                 (
@@ -435,7 +435,7 @@ def primitive_space(k, model=BU_MOD_SO):
         if model == BU or all(p % 2 == 1 for p in lam)
     ]
     mons = [partition_monomial(P, lam) for lam in lams]
-    defects = [_primitive_defect(_coproduct_p_monomial(mon), {mon: Q(1)}) for mon in mons]
+    defects = [_primitive_defect(_coproduct_p_monomial(mon), {mon: 1}) for mon in mons]
     return [
         convert(SymmFn(P, poly), E) for poly in _primitive_combinations(mons, defects)
     ]
@@ -455,7 +455,7 @@ def _primitive_combinations(mons, defects):
         for key, c in defect.items():
             col[rows_index.setdefault(key, len(rows_index))] = c
         cols.append(col)
-    matrix = [[Q(0)] * len(mons) for _ in range(len(rows_index))]
+    matrix = [[0] * len(mons) for _ in range(len(rows_index))]
     for j, col in enumerate(cols):
         for i, c in col.items():
             matrix[i][j] = c
@@ -469,7 +469,7 @@ def _coproduct_p_monomial(mon):
     """Coproduct of a P-basis monomial: the N_k are primitive."""
     from math import comb
 
-    result = {((), ()): Q(1)}
+    result = {((), ()): 1}
     for gid, e in mon:
         new = {}
         for (left, right), c in result.items():
@@ -477,7 +477,7 @@ def _coproduct_p_monomial(mon):
                 lm = left + ((gid, a),) if a else left
                 rm = right + ((gid, e - a),) if e - a else right
                 key = (tuple(sorted(lm)), tuple(sorted(rm)))
-                new[key] = new.get(key, Q(0)) + c * comb(e, a)
+                new[key] = new.get(key, 0) + c * comb(e, a)
         result = new
     return result
 
@@ -487,12 +487,15 @@ def _coproduct_p_monomial(mon):
 
 
 def indecomposables(weight, generator_weights=None):
-    """Dimension of I/I^2 in a given weight, with a representative basis.
+    """Dimension of I/I^2 in a given weight, with one representative.
 
     I/I^2 of a free commutative algebra is spanned by the images of its
     generators, so the dimension is the number of generators of that
-    weight.  Defaults to the full symmetric algebra (one generator per
-    weight).
+    weight, counted with multiplicity.  Generators of one weight are all
+    represented by the Chern class ``c[weight]``, so the representative
+    list holds that class once when the dimension is positive and is
+    empty otherwise; it is not a basis when a weight repeats.  Defaults
+    to the full symmetric algebra (one generator per weight).
     """
     if weight < 1:
         return 0, []
@@ -500,8 +503,8 @@ def indecomposables(weight, generator_weights=None):
         generator_weights = list(range(1, weight + 1))
     if any(g <= 0 for g in generator_weights):
         raise ValueError("generator weights must be positive")
-    reps = [SymmFn(E, sym_gen(E, weight)) for g in generator_weights if g == weight]
-    return len(reps), reps
+    dim = list(generator_weights).count(weight)
+    return dim, [SymmFn(E, sym_gen(E, weight))] if dim else []
 
 
 def is_decomposable(poly):

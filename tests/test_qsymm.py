@@ -54,7 +54,7 @@ class TestQuasiShuffle:
         assert x * y == y * x
 
     @given(compositions, compositions, compositions)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_associative(self, a, b, c):
         x, y, z = (QSymmElement.monomial(w) for w in (a, b, c))
         assert (x * y) * z == x * (y * z)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hopfgenus import symm
 from hopfgenus.core import GradedPolynomial, TruncatedSeries, gen_id, parse_polynomial
 from hopfgenus.qsymm import polynomial_hilbert
-from hopfgenus.rational import Q
+from hopfgenus.rational import Q, divide
 
 
 def epoly(text):
@@ -168,7 +168,7 @@ class TestHopf:
             ).value
             v = basis[0].value
             mon = next(iter(nk.terms))
-            ratio = v.coefficient(mon) / nk.coefficient(mon)
+            ratio = divide(v.coefficient(mon), nk.coefficient(mon))
             assert v == nk * ratio
 
     def test_primitive_space_bu(self):
@@ -207,6 +207,12 @@ class TestDimensionCounts:
         dim, reps = symm.indecomposables(4, [1, 2, 3, 4])
         assert dim == 1 and len(reps) == 1
         assert symm.indecomposables(5, [1, 2, 3, 4])[0] == 0
+
+    def test_indecomposables_repeated_weight(self):
+        # two generators of weight 3: dimension 2, one representative c[3]
+        c3 = symm.SymmFn(symm.E, symm.sym_gen(symm.E, 3))
+        assert symm.indecomposables(3, [2, 3, 3, 5]) == (2, [c3])
+        assert symm.indecomposables(4, [2, 3, 3, 5]) == (0, [])
 
     def test_indecomposables_count_generators(self):
         # dim I/I^2 in weight w = all monomials minus those with >= 2 factors
