@@ -495,7 +495,7 @@ class PowerSeries1:
         if self.coeffs[0] != 1:
             raise ConstantTermError("series inverse needs constant term 1")
         D = self.bound
-        inv = [canonical(self.coeffs[0] ** 0)]  # 1 in the coefficient's type
+        inv = [canonical(self.coeffs[0] ** 0)]  # int 1, or 1 in a numeric type
         for k in range(1, D + 1):
             acc = 0
             for j in range(1, k + 1):
