@@ -30,7 +30,7 @@ from .core import (
     parse_polynomial,
 )
 from .homology import SOMEGA, coefficient_ring_series
-from .rational import Q, is_exact
+from .rational import Q, canonical, is_exact
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -320,13 +320,13 @@ def multiplicative_class(model, q_series):
 
 def genus(model, q_series):
     """Hirzebruch genus of the model for the characteristic series Q."""
-    return model.pairing(multiplicative_class(model, q_series))
+    return canonical(model.pairing(multiplicative_class(model, q_series)))
 
 
 def genus_from_exponential(f, n):
     """Value on CP^n from the exponential alone: (n+1) [x^{n+1}] f^{-1}."""
     if n == 0:
-        return Q(1) if is_exact(f.coeffs[1]) else 1.0
+        return 1 if is_exact(f.coeffs[1]) else 1.0
     if f.bound < n + 1:
         raise ValueError("exponential truncated below degree %d" % (n + 1))
     g = f.compose_inverse()
@@ -378,7 +378,10 @@ class DeformationParameters:
 
     @classmethod
     def from_dict(cls, d):
-        coerced = {int(k): Q(v) if isinstance(v, (str, int)) else v for k, v in d.items()}
+        coerced = {
+            int(k): canonical(Q(v) if isinstance(v, (str, int)) else v)
+            for k, v in d.items()
+        }
         return cls(tuple(sorted((k, v) for k, v in coerced.items() if v != 0)))
 
     def as_dict(self):
@@ -446,7 +449,7 @@ def deform_genus(model, q_series, params, include_ch1=True):
     kclass = multiplicative_class(model, q_series)
     if kind is not None:
         kclass = kclass.map_coefficients(kind)
-    return model.pairing(model.reduce(expo * kclass))
+    return canonical(model.pairing(model.reduce(expo * kclass)))
 
 
 @dataclass(frozen=True)

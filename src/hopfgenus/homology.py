@@ -5,7 +5,10 @@ unit) and a multiplication table, truncated above degree D.  Tor of the
 augmentation Q over such an algebra is computed from the reduced bar
 complex: chains in homological degree s are words of length s in the
 positive-degree basis, the differential contracts adjacent letters with
-the usual bar sign, and dimensions come from exact ranks over Q.
+the usual bar sign, and dimensions come from exact ranks over Q.  Each
+differential is built once per bidegree, and its rank is taken one
+connected block at a time: the source words that share a target word,
+directly or through a chain of others, form one block.
 
 Grading convention: homological degree s adds +s to the total degree
 (one suspension per bar stage), so the exterior generator y_5 produces a
@@ -51,6 +54,16 @@ class GradedAlgebraPresentation:
             raise ValueError("basis must start with the unit in degree 0")
         if any(d <= 0 for d in self.degrees[1:]):
             raise ValueError("non-unit basis elements need positive degree")
+        n = len(self.degrees)
+        for (i, j), prods in self.mult.items():
+            for k, _ in prods:
+                if not (0 < i < n and 0 < j < n and 0 < k < n) or (
+                    self.degrees[k] != self.degrees[i] + self.degrees[j]
+                ):
+                    raise ValueError(
+                        "product (%r, %r) has a term %r that is not a basis "
+                        "element of their total degree" % (i, j, k)
+                    )
 
     def positive_indices(self):
         return list(range(1, len(self.degrees)))
@@ -182,17 +195,48 @@ def _apply_bar_d(A, word):
     return out
 
 
-def _diff_rank(A, words_src, words_tgt):
-    if not words_src or not words_tgt:
-        return 0
-    col = {w: j for j, w in enumerate(words_tgt)}
-    rows = []
-    for w in words_src:
-        row = [0] * len(words_tgt)
-        for tgt, c in _apply_bar_d(A, w).items():
-            row[col[tgt]] = c
-        rows.append(row)
-    return rank_rational(rows)
+def _find(parent, x):
+    # union-find root with path halving; a new key is its own root
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _diff_rank(diff):
+    """Rank of a differential given as {source word: {target word: coeff}}.
+
+    Rows that share no target word lie in different connected blocks of
+    the bipartite row/column graph; the matrix is block diagonal up to
+    permutation, so its rank is the sum of the blocks' ranks.  Each block
+    is ranked as dense rows over its own columns; zero rows are dropped.
+    """
+    parent = {}
+    rows = [row for row in diff.values() if row]
+    for row in rows:
+        it = iter(row)
+        root = _find(parent, next(it))
+        for tgt in it:
+            other = _find(parent, tgt)
+            if other != root:
+                parent[other] = root
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(_find(parent, next(iter(row))), []).append(row)
+    rank = 0
+    for block in blocks.values():
+        col = {}
+        for row in block:
+            for tgt in row:
+                col.setdefault(tgt, len(col))
+        dense = []
+        for row in block:
+            line = [0] * len(col)
+            for tgt, c in row.items():
+                line[col[tgt]] = c
+            dense.append(line)
+        rank += rank_rational(dense)
+    return rank
 
 
 def tor_via_bar(A, bound):
@@ -212,34 +256,38 @@ def tor_via_bar(A, bound):
     dims = {(0, 0): 1}
     if min_deg is None:
         return TorTable(dims, bound)
-    words = {}
+    # levels[s][t]: the differential on the bar words of length s and
+    # internal degree t, {word: {target word: coeff}}, built once
+    levels = {}
 
-    def get_words(s, t):
-        key = (s, t)
-        if key not in words:
-            words[key] = _bar_words(A, s, t)
-        return words[key]
+    def get_diff(s, t):
+        level = levels.setdefault(s, {})
+        if t not in level:
+            level[t] = {w: _apply_bar_d(A, w) for w in _bar_words(A, s, t)}
+        return level[t]
 
     s = 1
     while s * (min_deg + 1) <= bound:
         for t in range(s * min_deg, bound - s + 1):
-            src = get_words(s, t)
-            if not src:
+            diff = get_diff(s, t)
+            if not diff:
                 continue
             # d^2 = 0 on every computed word
-            for w in src:
+            below = get_diff(s - 1, t)
+            for w, dw in diff.items():
                 dd = {}
-                for mid, c in _apply_bar_d(A, w).items():
-                    add_into(dd, _apply_bar_d(A, mid), c)
+                for mid, c in dw.items():
+                    add_into(dd, below[mid], c)
                 if dd:
                     raise BarDifferentialError(
                         "bar differential d^2 != 0 on word %r" % (w,)
                     )
-            r_out = _diff_rank(A, src, get_words(s - 1, t))
-            r_in = _diff_rank(A, get_words(s + 1, t), src)
-            d = len(src) - r_out - r_in
+            r_out = _diff_rank(diff)
+            r_in = _diff_rank(get_diff(s + 1, t))
+            d = len(diff) - r_out - r_in
             if d:
                 dims[(s, t)] = d
+        levels.pop(s - 1, None)  # only levels s and s + 1 are read from here on
         s += 1
     return TorTable(dims, bound)
 

@@ -12,11 +12,17 @@ from .rational import Q, canonical
 
 
 def rank_rational(rows):
-    """Exact rank of a matrix with int or Fraction entries."""
+    """Exact rank of a matrix with int or Fraction entries.
+
+    Each row is scaled by the lcm of its denominators; a row whose lcm is
+    1 (every row of an integral matrix) goes to the kernel as it is.
+    """
     scaled = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (den // x.denominator) for x in row])
+        if den != 1:
+            row = [x.numerator * (den // x.denominator) for x in row]
+        scaled.append(row)
     return rank_bareiss(scaled)
 
 

@@ -105,6 +105,13 @@ class TestGenera:
         for n in range(1, 7):
             assert G.genus(G.cp(n), todd) == 1
 
+    def test_integral_genus_is_int(self, cp2):
+        assert type(G.genus(G.cp(3), G.todd_series(4))) is int
+        assert type(G.genus(cp2, G.a_hat_series(6))) is Q
+        t = G.DeformationParameters.from_dict({1: 2})
+        value = G.deform_genus(G.cp(3), G.todd_series(4), t)
+        assert type(value) is int and value == 165
+
     def test_todd_products(self, cp1, cp2):
         todd = G.todd_series(8)
         assert G.genus(G.product(cp1, cp2), todd) == 1
@@ -195,6 +202,13 @@ class TestDeformations:
         ahat = G.a_hat_series(6)
         t0 = G.DeformationParameters.zero()
         assert G.deform_genus(cp2, ahat, t0) == G.genus(cp2, ahat)
+
+    def test_integral_parameters_are_int(self):
+        t = G.DeformationParameters.from_dict({1: 2, 3: "4/2", 5: Q(6, 3), 7: "1/2"})
+        assert [(k, type(v)) for k, v in t.entries] == [(1, int), (3, int), (5, int), (7, Q)]
+        assert t.as_dict() == {1: 2, 3: 2, 5: 2, 7: Q(1, 2)}
+        half = G.DeformationParameters.from_dict({1: Q(1, 2)})
+        assert type((half + half).as_dict()[1]) is int
 
     def test_cp1_t1(self, cp1):
         ahat = G.a_hat_series(6)

@@ -1,5 +1,4 @@
 import gc
-from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
@@ -43,6 +42,19 @@ class TestPresentations:
         with pytest.raises(ValueError):
             H.GradedAlgebraPresentation(("1", "bad"), (0, 0), {}, 10)
 
+    @pytest.mark.parametrize(
+        "mult",
+        [
+            {(1, 1): ((2, 1),)},  # x.x = y, but |y| = 3 != 2
+            {(1, 1): ((3, 1),)},  # no basis element 3
+            {(0, 1): ((1, 1),)},  # the unit is not in the table
+            {(1, 2): ((0, 1),)},  # lands on the unit
+        ],
+    )
+    def test_product_must_be_graded(self, mult):
+        with pytest.raises(ValueError):
+            H.GradedAlgebraPresentation(("1", "x", "y"), (0, 1, 3), mult, 8)
+
 
 class TestTorViaBar:
     def test_ground_field(self):
@@ -69,6 +81,14 @@ class TestTorViaBar:
         words = H.word_series([6, 10], 22)
         assert table.total_series() == words
         assert table.total_series()[16] == 2  # (6,10) and (10,6)
+
+    def test_koszul_duality_four_generators(self):
+        table = H.tor_via_bar(H.exterior_algebra([3, 5, 7, 9], 32), 32)
+        assert table.total_series() == H.polynomial_hilbert([4, 6, 8, 10], 32)
+
+    def test_square_zero_three_generators_gives_word_counts(self):
+        table = H.tor_via_bar(H.square_zero_extension([2, 3, 5], 28), 28)
+        assert table.total_series() == H.word_series([3, 4, 6], 28)
 
     def test_connectedness_invariant(self):
         table = H.tor_via_bar(H.exterior_algebra([5, 9], 20), 20)
@@ -155,16 +175,49 @@ def _old_rank_rational(rows):
 
 
 def _old_diff_rank(A, words_src, words_tgt):
+    # Test-only copy of the earlier dense rank: one matrix over all source
+    # and target words, ranked by the test-only earlier rank path.
     if not words_src or not words_tgt:
         return 0
     col = {w: j for j, w in enumerate(words_tgt)}
     rows = []
     for w in words_src:
-        row = [Fraction(0)] * len(words_tgt)
+        row = [0] * len(words_tgt)
         for tgt, c in H._apply_bar_d(A, w).items():
-            row[col[tgt]] = Fraction(int(c.numerator), int(c.denominator))
+            row[col[tgt]] = c
         rows.append(row)
     return _old_rank_rational(rows)
+
+
+def _old_tor_via_bar(A, bound):
+    # Test-only copy of the earlier ``tor_via_bar``, less its argument
+    # guards and d^2 check: every differential is rebuilt from the bar words
+    # and ranked as one dense matrix, twice.
+    min_deg = min((A.degrees[i] for i in A.positive_indices()), default=None)
+    dims = {(0, 0): 1}
+    if min_deg is None:
+        return H.TorTable(dims, bound)
+    words = {}
+
+    def get_words(s, t):
+        key = (s, t)
+        if key not in words:
+            words[key] = H._bar_words(A, s, t)
+        return words[key]
+
+    s = 1
+    while s * (min_deg + 1) <= bound:
+        for t in range(s * min_deg, bound - s + 1):
+            src = get_words(s, t)
+            if not src:
+                continue
+            r_out = _old_diff_rank(A, src, get_words(s - 1, t))
+            r_in = _old_diff_rank(A, get_words(s + 1, t), src)
+            d = len(src) - r_out - r_in
+            if d:
+                dims[(s, t)] = d
+        s += 1
+    return H.TorTable(dims, bound)
 
 
 def divided_power_algebra(truncation):
@@ -181,8 +234,9 @@ def divided_power_algebra(truncation):
 
 
 class TestAgainstOldRankPath:
-    """``tor_via_bar`` equals the same computation with the earlier
-    ``_diff_rank``/``rank_rational`` path installed."""
+    """``tor_via_bar`` equals the whole earlier computation: dense
+    differentials over all bar words of each (s, t), ranked by the earlier
+    rank path."""
 
     @pytest.mark.parametrize(
         "build,bound",
@@ -192,13 +246,45 @@ class TestAgainstOldRankPath:
             pytest.param(lambda: H.exterior_algebra([5, 9], 24), 24, id="exterior[5,9]@24"),
             pytest.param(lambda: H.square_zero_extension([5, 9], 22), 22, id="squarezero[5,9]@22"),
             pytest.param(lambda: divided_power_algebra(16), 16, id="dividedpower@16"),
+            pytest.param(lambda: H.square_zero_extension([2, 3, 5], 28), 28, id="squarezero[2,3,5]@28"),
+            pytest.param(lambda: H.square_zero_extension([2, 3, 4], 26), 26, id="squarezero[2,3,4]@26"),
+            pytest.param(lambda: H.exterior_algebra([3, 5, 7, 9], 28), 28, id="exterior[3,5,7,9]@28"),
         ],
     )
-    def test_same_table(self, monkeypatch, build, bound):
+    def test_same_table(self, build, bound):
         algebra = build()
-        new = H.tor_via_bar(algebra, bound)
-        monkeypatch.setattr(H, "_diff_rank", _old_diff_rank)
-        assert new.dims == H.tor_via_bar(algebra, bound).dims
+        assert H.tor_via_bar(algebra, bound).dims == _old_tor_via_bar(algebra, bound).dims
+
+
+class TestBlockRank:
+    # two blocks {a, b} -> {x, y} and {c} -> {z}, and a zero row, shuffled
+    DIFF = {
+        "c": {"z": 3},
+        "a": {"x": 1, "y": 2},
+        "0": {},
+        "b": {"y": 4, "x": 2},
+    }
+
+    def test_two_blocks_and_total_rank(self, monkeypatch):
+        blocks = []
+        rank_rational = H.rank_rational
+
+        def recording_rank(rows):
+            blocks.append(rows)
+            return rank_rational(rows)
+
+        monkeypatch.setattr(H, "rank_rational", recording_rank)
+        rank = H._diff_rank(self.DIFF)
+        assert sorted(len(b) for b in blocks) == [1, 2]
+        cols = sorted({t for row in self.DIFF.values() for t in row})
+        dense = [[row.get(t, 0) for t in cols] for row in self.DIFF.values()]
+        assert rank == rank_rational(dense) == 2
+
+    def test_zero_differential_is_never_ranked(self, monkeypatch):
+        monkeypatch.setattr(H, "rank_rational", lambda rows: pytest.fail("ranked %r" % rows))
+        assert H._diff_rank({"a": {}, "b": {}}) == 0
+        assert H._diff_rank({}) == 0
+        H.tor_via_bar(H.square_zero_extension([2, 3, 5], 20), 20)
 
 
 class TestDividedPowers:

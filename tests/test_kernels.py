@@ -81,6 +81,16 @@ class TestRankRational:
         linalg.rank_rational(m)
         assert [[(type(x), x) for x in row] for row in m] == before
 
+    def test_only_rows_with_denominators_are_scaled(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(linalg, "rank_bareiss", lambda rows: seen.extend(rows) or pure.rank_bareiss(rows))
+        int_row = [2, 0, -3]
+        m = [int_row, [Fraction(1, 2), Fraction(1, 3), 1]]
+        assert linalg.rank_rational(m) == 2
+        assert seen[0] is int_row
+        assert seen[1] == [3, 2, 6] and all(type(x) is int for x in seen[1])
+        assert int_row == [2, 0, -3]
+
 
 def _old_mul_terms(a, b):
     # Test-only copy of the earlier kernel's untruncated path (cap < 0).
