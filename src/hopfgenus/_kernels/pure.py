@@ -9,6 +9,11 @@ so sorting by gid sorts by (degree, family, index) and the degree of a
 monomial is recoverable without any side table.  Coefficients are opaque
 Python objects (int, Fraction, float, complex); the kernels only add,
 multiply and compare them with zero.
+
+``mul_terms`` multiplies ``GradedPolynomial``s and ``monomial_mul`` merges
+the monomials of coproduct terms.  The truncated-series recurrences in
+``core`` do not use them: they multiply packed exponent vectors, where a
+monomial product is an integer addition (``core._PackedLayout``).
 """
 
 BACKEND = "pure"

@@ -13,6 +13,14 @@ parsed coefficients, scalar products, exact divisions and the series
 integral algebra never leaves the integers; the kernels multiply and
 add whatever coefficients they are given.
 
+Monomials are gid-sorted tuples of ``(gid, exponent)`` pairs with
+positive exponents; the parser sums a generator's exponents and drops
+zero ones, so equal monomials have equal keys.  ``GradedPolynomial``
+products go through the kernel ``mul_terms``.  The four recurrences of
+``TruncatedSeries`` (``*``, ``inverse``, ``exp``, ``log``) instead run on
+packed exponent vectors, one integer per monomial, in which a monomial
+product is an integer sum (``_PackedLayout``).
+
 Everything here is immutable-by-convention and pure: operations return
 new values and never mutate their inputs.  The one exception is
 ``add_into``, the package's single sparse accumulation, which mutates
@@ -21,7 +29,7 @@ only the accumulator dict its caller created.
 
 import re
 
-from ._kernels import monomial_degree, monomial_mul, mul_terms
+from ._kernels import monomial_degree, mul_terms
 from .rational import Q, canonical, divide, rational_from_string
 
 _FAM_SHIFT = 24
@@ -35,6 +43,10 @@ class BoundMismatchError(ValueError):
 
 class ConstantTermError(ValueError):
     """A series operation's constant-term precondition failed."""
+
+
+class HomogeneityError(ValueError):
+    """A term of a series' degree-k component has a degree other than k."""
 
 
 class ParseError(ValueError):
@@ -276,12 +288,114 @@ class GradedPolynomial(LinearCombination):
         return "GradedPolynomial(%s)" % format_polynomial(self)
 
 
+def _convolve_into(acc, a, b):
+    """Add the product of two packed term dicts into ``acc``.
+
+    A packed monomial product is the sum of its factors' keys (see
+    ``_PackedLayout``).  Zero sums are kept; the caller drops them once
+    its step is complete.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    b_items = list(b.items())
+    get = acc.get
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            prev = get(k)
+            acc[k] = ca * cb if prev is None else prev + ca * cb
+
+
+class _PackedLayout:
+    """Packed exponent vectors for one truncated-series operation.
+
+    Every generator in the operands gets a bit field of width
+    ``(D // gid_degree(g)).bit_length()``, in increasing gid order from
+    the low bit, and a monomial packs to ``sum(e << shift[g])``
+    (Monagan and Pearce, *Polynomial division using dynamic arrays,
+    heaps, and packed exponent vectors*, CASC 2007).  The series
+    operations form only homogeneous products of degree <= D, in which
+    the exponent of ``g`` is at most ``D // gid_degree(g)``: no field
+    overflows and no carry crosses into the next one, so a monomial
+    product is one integer addition.  Unpacking takes the fields from
+    the top bit down and reverses them, so a monomial comes back
+    gid-sorted, built from one shared ``(gid, e)`` pair per field value
+    of this layout.
+    """
+
+    __slots__ = ("shift", "_mask_at", "_pair")
+
+    def __init__(self, operands, bound):
+        gids = sorted(
+            {g for s in operands for comp in s.comps for m in comp.terms for g, _ in m}
+        )
+        self.shift = {}
+        self._mask_at = [0]  # bit_length of a key -> mask of its top field
+        self._pair = {}  # e << shift[g] -> (g, e)
+        pos = 0
+        for g in gids:
+            top = bound // gid_degree(g)
+            width = top.bit_length()
+            self.shift[g] = pos
+            self._mask_at.extend([((1 << width) - 1) << pos] * width)
+            for e in range(1, top + 1):
+                self._pair[e << pos] = (g, e)
+            pos += width
+
+    def pack(self, series):
+        """One packed term dict per component of ``series``.
+
+        Raises ``HomogeneityError`` for a term of component k whose
+        degree is not k: only homogeneous terms are sure to fit.
+        """
+        shift = self.shift
+        out = []
+        for k, comp in enumerate(series.comps):
+            packed = {}
+            for mon, c in comp.terms.items():
+                key = deg = 0
+                for g, e in mon:
+                    key += e << shift[g]
+                    deg += (g >> _DEG_SHIFT) * e
+                if deg != k:
+                    raise HomogeneityError(
+                        "series component %d has a term of degree %d: %s"
+                        % (k, deg, _format_monomial(mon))
+                    )
+                packed[key] = c
+            out.append(packed)
+        return out
+
+    def unpack(self, packed):
+        """The GradedPolynomial of a packed term dict."""
+        mask_at, pair = self._mask_at, self._pair
+        terms = {}
+        for key, c in packed.items():
+            mon = []
+            while key:
+                part = key & mask_at[key.bit_length()]
+                mon.append(pair[part])
+                key ^= part
+            mon.reverse()
+            terms[tuple(mon)] = c
+        return GradedPolynomial(terms)
+
+    def series(self, packed_comps):
+        return TruncatedSeries([self.unpack(t) for t in packed_comps])
+
+
 class TruncatedSeries:
     """Graded-polynomial coefficients per total degree up to a bound D.
 
     Stored as one homogeneous component per degree 0..D; terms above D
     are absent by construction.  Mismatched bounds raise rather than
     silently re-truncating.
+
+    Precondition of ``*``, ``inverse``, ``exp`` and ``log``: every term
+    of component k has degree k.  The four operations check it and raise
+    ``HomogeneityError`` naming k and the degree found.  They pack each
+    input component once into integer keys (``_PackedLayout``), run their
+    recurrence on those keys and unpack each output component once.
     """
 
     __slots__ = ("comps",)
@@ -297,7 +411,13 @@ class TruncatedSeries:
 
     @classmethod
     def from_polynomial(cls, poly, bound):
-        return cls([poly.homogeneous_part(d) for d in range(bound + 1)])
+        """Bucket the terms of ``poly`` by degree; terms above ``bound`` are dropped."""
+        comps = [{} for _ in range(bound + 1)]
+        for m, c in poly.terms.items():
+            d = monomial_degree(m)
+            if d <= bound:
+                comps[d][m] = c
+        return cls([GradedPolynomial(t) for t in comps])
 
     @classmethod
     def one(cls, bound):
@@ -346,33 +466,49 @@ class TruncatedSeries:
         return TruncatedSeries([c * scalar for c in self.comps])
 
     def __mul__(self, other):
+        """Cauchy product.
+
+        Each pair of components is convolved on its own and its nonzero
+        terms are added into the degree's sum with ``add_into``, exactly
+        as adding the pairs' ``GradedPolynomial`` products would.  That
+        keeps the coefficient types of that sum, which depend on where a
+        running sum passes through zero.
+        """
         self._check(other)
         D = self.bound
+        layout = _PackedLayout((self, other), D)
+        a = layout.pack(self)
+        b = layout.pack(other)
         out = []
         for k in range(D + 1):
             acc = {}
             for i in range(k + 1):
-                a = self.comps[i]
-                b = other.comps[k - i]
-                if a.terms and b.terms:
-                    add_into(acc, mul_terms(a.terms, b.terms))
-            out.append(GradedPolynomial(acc))
-        return TruncatedSeries(out)
+                if a[i] and b[k - i]:
+                    block = {}
+                    _convolve_into(block, a[i], b[k - i])
+                    block = {m: c for m, c in block.items() if c}
+                    if acc:
+                        add_into(acc, block)
+                    else:
+                        acc = block
+            out.append(acc)
+        return layout.series(out)
 
     def inverse(self):
         """Multiplicative inverse; requires constant term 1."""
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series inverse needs constant term 1")
         D = self.bound
-        inv = [GradedPolynomial.one()]
+        layout = _PackedLayout((self,), D)
+        a = layout.pack(self)
+        inv = [{0: 1}]
         for k in range(1, D + 1):
             acc = {}
             for j in range(1, k + 1):
-                a = self.comps[j]
-                if a.terms and inv[k - j].terms:
-                    add_into(acc, mul_terms(a.terms, inv[k - j].terms))
-            inv.append(GradedPolynomial({m: canonical(-c) for m, c in acc.items()}))
-        return TruncatedSeries(inv)
+                if a[j] and inv[k - j]:
+                    _convolve_into(acc, a[j], inv[k - j])
+            inv.append({m: canonical(-c) for m, c in acc.items() if c})
+        return layout.series(inv)
 
     def exp(self):
         """Exponential; requires zero constant term and exact coefficients.
@@ -384,36 +520,42 @@ class TruncatedSeries:
         if self.comps[0].terms:
             raise ConstantTermError("series exp needs zero constant term")
         D = self.bound
-        scaled = [a * j for j, a in enumerate(self.comps)]
-        out = [GradedPolynomial.one()]
+        layout = _PackedLayout((self,), D)
+        scaled = [
+            {m: canonical(c * j) for m, c in t.items()} for j, t in enumerate(layout.pack(self))
+        ]
+        out = [{0: 1}]
         for k in range(1, D + 1):
             acc = {}
             for j in range(1, k + 1):
-                b = scaled[j]
-                if b.terms and out[k - j].terms:
-                    add_into(acc, mul_terms(b.terms, out[k - j].terms))
-            out.append(GradedPolynomial(acc) / k)
-        return TruncatedSeries(out)
+                if scaled[j] and out[k - j]:
+                    _convolve_into(acc, scaled[j], out[k - j])
+            out.append({m: divide(c, k) for m, c in acc.items() if c})
+        return layout.series(out)
 
     def log(self):
         """Logarithm; requires constant term 1.
 
-        k out_k = k a_k - sum_{0<j<k} (j out_j) a_{k-j}, divided exactly
-        by k as in ``exp``.
+        k out_k = k a_k - sum_{0<j<k} (j out_j) a_{k-j}.  The step sums
+        -k out_k = -k a_k + sum_{0<j<k} (j out_j) a_{k-j}, so that every
+        product is added, and divides each coefficient exactly by -k as
+        in ``exp``.
         """
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series log needs constant term 1")
         D = self.bound
-        out = [GradedPolynomial.zero()]
-        scaled = [GradedPolynomial.zero()]  # j out_j
+        layout = _PackedLayout((self,), D)
+        a = layout.pack(self)
+        out = [{}]
+        scaled = [{}]  # j out_j
         for k in range(1, D + 1):
-            acc = dict((self.comps[k] * k).terms)
+            acc = {m: canonical(-k * c) for m, c in a[k].items()}
             for j in range(1, k):
-                if scaled[j].terms and self.comps[k - j].terms:
-                    add_into(acc, mul_terms(scaled[j].terms, self.comps[k - j].terms), -1)
-            scaled.append(GradedPolynomial(acc))
-            out.append(scaled[k] / k)
-        return TruncatedSeries(out)
+                if scaled[j] and a[k - j]:
+                    _convolve_into(acc, scaled[j], a[k - j])
+            scaled.append({m: -c for m, c in acc.items() if c})
+            out.append({m: divide(c, -k) for m, c in acc.items() if c})
+        return layout.series(out)
 
     def __repr__(self):
         return "TruncatedSeries(bound=%d, %s)" % (
@@ -597,7 +739,8 @@ def parse_polynomial(text, degree_of=None):
         c = 1 if coeff is None else coeff
         if sign < 0:
             c = -c
-        add_into(terms, ((tuple(sorted(gens.items())), c),))
+        mon = tuple(sorted((g, e) for g, e in gens.items() if e))
+        add_into(terms, ((mon, c),))
         sign, coeff, gens, started = 1, None, {}, False
 
     while pos < n:

@@ -275,6 +275,15 @@ class TestCoactionCommand:
         assert report["components"]["1"] == "1"
         assert report["components"]["y2"] == "-4*x[1]"
 
+    def test_zero_exponent_class_is_the_unit(self, capsys):
+        argv = ["coaction", "--manifold", "CP2", "--bound", "4", "--class"]
+        code, out = run(argv + ["x[1]^0"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["class"] == "1"
+        assert report["components"]["1"] == "1"
+        assert run(argv + ["1"], capsys) == (0, out)
+
 
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, capsys, tmp_path):

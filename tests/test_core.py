@@ -126,6 +126,19 @@ class TestTextFormat:
         assert p.coefficient(((gen_id("c", 1), 1),)) == Q(1, 2)
         assert p.coefficient(()) == 5
 
+    def test_zero_exponents_are_dropped(self):
+        assert poly("c[1]^0") == GradedPolynomial.one()
+        assert poly("c[1]^0").terms == {(): 1}
+        assert format_polynomial(poly("c[1]^0")) == "1"
+        assert poly("c[1]^0*c[2]") == poly("c[2]")
+        assert poly("c[2]*c[1]^0 + 3*c[3]^0") == poly("c[2] + 3")
+        assert poly("2*c[1]^0 - 2") == GradedPolynomial.zero()
+        assert format_polynomial(poly("c[1]^0*c[2]^2")) == "c[2]^2"
+
+    def test_repeated_generators_are_summed(self):
+        assert poly("c[1]*c[2]*c[1]^2") == poly("c[1]^3*c[2]")
+        assert poly("c[1]^2*c[1]^0") == poly("c[1]^2")
+
     @given(polynomials())
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_bit_exact(self, p):
