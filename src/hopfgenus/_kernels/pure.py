@@ -14,7 +14,16 @@ multiply and compare them with zero.
 the monomials of coproduct terms.  The truncated-series recurrences in
 ``core`` do not use them: they multiply packed exponent vectors, where a
 monomial product is an integer addition (``core._PackedLayout``).
+
+``rank_bareiss`` is the exact integer rank: sparse elimination over Z
+with unit pivots first, which is how the bar differentials' blocks are
+shaped (few nonzeros, mostly +-1).  It replaced a dense fraction-free
+Bareiss kernel; the name stays until the benchmark, whose tracer binds
+it, is next changed.
 """
+
+from itertools import compress
+from math import gcd
 
 BACKEND = "pure"
 
@@ -71,38 +80,64 @@ def mul_terms(a, b):
 
 
 def rank_bareiss(rows):
-    """Exact rank of an integer matrix by fraction-free elimination.
+    """Exact rank of an integer matrix by sparse elimination over Z.
 
-    ``rows`` is a list of lists of Python ints; it is not modified.
+    ``rows`` is a list of dense rows of Python ints; it is not modified.
+    Each row becomes a dict of its nonzero entries, with an index from
+    each column to the rows that use it.  The pivot is taken in the
+    shortest live row: a +-1 entry in its sparsest column if there is
+    one, else the entry in its sparsest column.  Every other row with an
+    entry f in the pivot column becomes (p/g) row - (f/g) pivot row,
+    g = gcd(p, f), so a unit pivot costs one subtraction; a row scaled
+    by p/g != 1 is divided by its content.  The rank is the number of
+    pivots.  This is structured Gaussian elimination (LaMacchia and
+    Odlyzko, CRYPTO '90) over Z; the Bareiss name is kept for the
+    benchmark's tracer (see the module docstring).
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    live = {}
+    cols = {}
+    for i, row in enumerate(rows):
+        entries = dict(compress(enumerate(row), row))
+        if entries:
+            live[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
     rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = -1
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pivot = m[row][col]
-        for r in range(row + 1, nrows):
-            mr = m[r]
-            mrow = m[row]
-            f = mr[col]
-            for c in range(col + 1, ncols):
-                mr[c] = (pivot * mr[c] - f * mrow[c]) // prev
-            mr[col] = 0
-        prev = pivot
-        row += 1
+    while live:
+        _, i = min(zip(map(len, live.values()), live))
+        prow = live.pop(i)
+        pcol = min(prow, key=lambda j: (prow[j] not in (1, -1), len(cols[j])))
+        for j in prow:
+            cols[j].discard(i)
+        p = prow.pop(pcol)
         rank += 1
-        if row == nrows:
-            break
+        for k in cols.pop(pcol):
+            row = live[k]
+            f = row.pop(pcol)
+            g = gcd(p, f)
+            if p < 0:  # so that a -1 pivot, like +1, needs no scaling
+                g = -g
+            a, b = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, x in prow.items():
+                v = row.get(j)
+                if v is None:
+                    row[j] = -b * x
+                    cols[j].add(k)
+                else:
+                    v -= b * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+                        cols[j].discard(k)
+            if not row:
+                del live[k]
+            elif a != 1:
+                c = gcd(*row.values())
+                if c != 1:
+                    for j in row:
+                        row[j] //= c
     return rank

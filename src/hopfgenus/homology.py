@@ -209,7 +209,8 @@ def _diff_rank(diff):
     Rows that share no target word lie in different connected blocks of
     the bipartite row/column graph; the matrix is block diagonal up to
     permutation, so its rank is the sum of the blocks' ranks.  Each block
-    is ranked as dense rows over its own columns; zero rows are dropped.
+    goes to ``rank_rational`` as dense rows over its own columns (zero
+    rows dropped), whose kernel ranks it by sparse elimination over Z.
     """
     parent = {}
     rows = [row for row in diff.values() if row]

@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals.
 
-Rank goes through the fraction-free integer kernel; rref and nullspace
+Rank goes through the sparse integer elimination kernel; rref and nullspace
 use rational Gauss-Jordan (the matrices here have at most a few hundred
 rows) and return canonical coefficients: ``int`` where integral.
 """
@@ -14,13 +14,14 @@ from .rational import Q, canonical
 def rank_rational(rows):
     """Exact rank of a matrix with int or Fraction entries.
 
-    Each row is scaled by the lcm of its denominators; a row whose lcm is
-    1 (every row of an integral matrix) goes to the kernel as it is.
+    The kernel takes int rows only.  A row of ints (every row of an
+    integral matrix) goes to it as it is; any other row is scaled by the
+    lcm of its denominators, which turns ``Fraction(2)`` into ``2`` too.
     """
     scaled = []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        if den != 1:
+        if not set(map(type, row)) <= {int}:
+            den = lcm(*[x.denominator for x in row])
             row = [x.numerator * (den // x.denominator) for x in row]
         scaled.append(row)
     return rank_bareiss(scaled)

@@ -5,8 +5,9 @@ from math import comb, gcd
 import pytest
 
 from hopfgenus import homology as H
-from hopfgenus._kernels import pure
 from hopfgenus.rational import Q
+
+from dense_bareiss import dense_bareiss
 
 
 class TestPresentations:
@@ -86,6 +87,10 @@ class TestTorViaBar:
         table = H.tor_via_bar(H.exterior_algebra([3, 5, 7, 9], 32), 32)
         assert table.total_series() == H.polynomial_hilbert([4, 6, 8, 10], 32)
 
+    def test_koszul_duality_four_generators_at_36(self):
+        table = H.tor_via_bar(H.exterior_algebra([3, 5, 7, 9], 36), 36)
+        assert table.total_series() == H.polynomial_hilbert([4, 6, 8, 10], 36)
+
     def test_square_zero_three_generators_gives_word_counts(self):
         table = H.tor_via_bar(H.square_zero_extension([2, 3, 5], 28), 28)
         assert table.total_series() == H.word_series([3, 4, 6], 28)
@@ -164,14 +169,15 @@ class TestBarWords:
 
 def _old_rank_rational(rows):
     # Test-only copy of the earlier rank path: every entry re-wrapped as a
-    # Fraction, denominators cleared by a pairwise lcm and Fraction products.
+    # Fraction, denominators cleared by a pairwise lcm and Fraction products,
+    # ranked by the frozen dense Bareiss kernel.
     scaled = []
     for row in rows:
         den = 1
         for x in row:
             den = den // gcd(den, int(x.denominator)) * int(x.denominator)
         scaled.append([int(x * den) for x in row])
-    return pure.rank_bareiss(scaled)
+    return dense_bareiss(scaled)
 
 
 def _old_diff_rank(A, words_src, words_tgt):
@@ -236,7 +242,8 @@ def divided_power_algebra(truncation):
 class TestAgainstOldRankPath:
     """``tor_via_bar`` equals the whole earlier computation: dense
     differentials over all bar words of each (s, t), ranked by the earlier
-    rank path."""
+    rank path and the frozen dense Bareiss kernel.  The cases include every
+    call of the tor-bar benchmark, its warm-up and criterion 9's algebras."""
 
     @pytest.mark.parametrize(
         "build,bound",
@@ -249,6 +256,8 @@ class TestAgainstOldRankPath:
             pytest.param(lambda: H.square_zero_extension([2, 3, 5], 28), 28, id="squarezero[2,3,5]@28"),
             pytest.param(lambda: H.square_zero_extension([2, 3, 4], 26), 26, id="squarezero[2,3,4]@26"),
             pytest.param(lambda: H.exterior_algebra([3, 5, 7, 9], 28), 28, id="exterior[3,5,7,9]@28"),
+            pytest.param(lambda: H.exterior_algebra([3, 5, 7, 9], 32), 32, id="exterior[3,5,7,9]@32"),
+            pytest.param(lambda: H.exterior_algebra([5, 9], 20), 20, id="exterior[5,9]@20"),
         ],
     )
     def test_same_table(self, build, bound):

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import hopfgenus
-from hopfgenus import core, linalg
+from hopfgenus import core, homology, linalg
 from hopfgenus._kernels import BACKEND, pure
 from hopfgenus.core import gen_id
+
+from dense_bareiss import dense_bareiss
 
 
 class TestBackendAgreement:
@@ -32,6 +34,81 @@ class TestBackendAgreement:
         assert pure.rank_bareiss([[1, 2], [3, 4]]) == 2
         assert pure.rank_bareiss([[0, 0], [0, 0]]) == 0
         assert pure.rank_bareiss([]) == 0
+
+
+def _random_int_matrix(rng, nrows, ncols, entries):
+    """Rows drawn from ``entries`` (zero is added to the draw), then some
+    rows zeroed, duplicated or combined and some columns zeroed."""
+    rows = [[rng.choice(entries) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows[i] = [0] * ncols
+        elif kind < 0.25:
+            rows[i] = list(rng.choice(rows))
+        elif kind < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            p, q = rng.choice(entries), rng.choice(entries)
+            rows[i] = [p * x + q * y for x, y in zip(a, b)]
+    for j in range(ncols):
+        if rng.random() < 0.1:
+            for row in rows:
+                row[j] = 0
+    return rows
+
+
+class TestSparseRank:
+    """``pure.rank_bareiss`` (sparse elimination over Z) against the frozen
+    dense Bareiss kernel and the pivot count of ``linalg.rref``."""
+
+    def _check(self, m):
+        rank = pure.rank_bareiss(m)
+        assert rank == dense_bareiss(m) == len(linalg.rref(m)[1])
+        return rank
+
+    def test_random_shapes(self):
+        rng = random.Random(1018)
+        shapes = [(1, 1), (3, 12), (12, 3), (1, 20), (20, 1), (8, 8), (5, 30), (30, 5)]
+        for nrows, ncols in shapes * 25:
+            self._check(_random_int_matrix(rng, nrows, ncols, [1, -1, 1, -1, 2, -3]))
+
+    def test_non_unit_entries(self):
+        # every first pivot is non-unit; the combined rows leave the set
+        rng = random.Random(2)
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+            self._check([[rng.choice([0, 2, 3, -5, 6]) for _ in range(ncols)] for _ in range(nrows)])
+            self._check(_random_int_matrix(rng, nrows, ncols, [2, 3, -5, 6]))
+
+    def test_dense_coefficient_growth(self):
+        rng = random.Random(60)
+        m = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
+        assert pure.rank_bareiss(m) == dense_bareiss(m) == 60
+        m[59] = [a - 2 * b for a, b in zip(m[0], m[1])]
+        assert pure.rank_bareiss(m) == dense_bareiss(m) == 59
+
+    def test_tor_blocks(self, monkeypatch):
+        blocks = []
+        rank_rational = homology.rank_rational
+
+        def recording_rank(rows):
+            blocks.append(rows)
+            return rank_rational(rows)
+
+        monkeypatch.setattr(homology, "rank_rational", recording_rank)
+        homology.tor_via_bar(homology.exterior_algebra([3, 5, 7, 9], 28), 28)
+        assert max(len(b) for b in blocks) > 20
+        for block in blocks:
+            assert pure.rank_bareiss(block) == dense_bareiss(block)
+
+    def test_input_not_modified(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            m = _random_int_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), [1, -1, 2, 3, -5, 6])
+            before = [list(row) for row in m]
+            pure.rank_bareiss(m)
+            assert m == before
 
 
 def _random_matrix(rng, nrows, ncols):
@@ -90,6 +167,15 @@ class TestRankRational:
         assert seen[0] is int_row
         assert seen[1] == [3, 2, 6] and all(type(x) is int for x in seen[1])
         assert int_row == [2, 0, -3]
+
+    def test_kernel_receives_int_rows_only(self, monkeypatch):
+        # Fraction rows with denominator 1 are converted, not passed through
+        seen = []
+        monkeypatch.setattr(linalg, "rank_bareiss", lambda rows: seen.extend(rows) or pure.rank_bareiss(rows))
+        m = [[Fraction(2), Fraction(-4), 0], [Fraction(1, 2), 1, Fraction(3)], [1, 2, 3]]
+        assert linalg.rank_rational(m) == len(linalg.rref(m)[1]) == 3
+        assert seen == [[2, -4, 0], [1, 2, 6], [1, 2, 3]]
+        assert all(type(x) is int for row in seen for x in row)
 
 
 def _old_mul_terms(a, b):
