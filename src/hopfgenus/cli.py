@@ -300,9 +300,8 @@ def _cmd_genus(args, cfg):
 
 def _cmd_coaction(args, cfg):
     model = _load_manifold(args)
-    degs = {sym: deg for sym, _, deg, _ in model.generators}
     try:
-        cls = parse_polynomial(args.cls, lambda fam, idx: degs.get(fam, idx))
+        cls = parse_polynomial(args.cls, genus_mod.generator_degrees(model.generators))
     except ParseError as exc:
         raise CLIError("parse-error", str(exc))
     psi = genus_mod.coaction(model, cls, args.bound)

@@ -4,14 +4,14 @@ Manifold models carry a truncated-polynomial cohomology ring, the total
 Chern class of the (stably complex) tangent bundle and a volume monomial
 for the fundamental-class pairing.  Genera are evaluated without ever
 introducing Chern roots: the multiplicative class of a characteristic
-series Q is exp(sum_m l_m N_m(tau)) with l = log Q: the linear argument
-is converted to the Chern basis, specialized to the model's Chern data
-and exponentiated in the model's cohomology ring.
+series Q is exp(sum_m l_m N_m(tau)) with l = log Q, taken in the model's
+cohomology ring, and the Newton classes are read off one series
+logarithm, log c(tau) = sum_k (-1)^(k-1) N_k(tau) / k (Newton's identities).
 
-The deformation torsor acts by multiplying the multiplicative class with
-exp(sum_k t_k ch_k(tau)), k odd; parameters add, so the action is a
-group law on the nose.  The coaction model pairs cohomology classes with
-monomials in the odd d-classes of the tangent bundle.
+The deformation torsor multiplies the multiplicative class by
+exp(sum_k t_k ch_k(tau)), k odd, ch_k = N_k / k!; parameters add, so the
+action is a group law on the nose.  The coaction model pairs cohomology
+classes with monomials in the odd d-classes, d = c(conjugate tau) / c(tau).
 """
 
 import json
@@ -23,7 +23,9 @@ from functools import reduce
 from . import symm
 from .core import (
     GradedPolynomial,
+    ParseError,
     PowerSeries1,
+    TruncatedSeries,
     add_into,
     gen_id,
     gid_degree,
@@ -45,7 +47,8 @@ class ManifoldModel:
 
     generators: tuple of (symbol, gid, real degree, nilpotency); each
     generator g satisfies g^(nilpotency+1) = 0.  volume is the canonical
-    top monomial in real degree 2*dim_c.
+    top monomial in real degree 2*dim_c.  A product model's embeddings
+    map each factor's generator ids to the product's (see ``product``).
     """
 
     name: str
@@ -74,10 +77,6 @@ class ManifoldModel:
     def pairing(self, poly):
         """Evaluation against the fundamental class."""
         return poly.coefficient(self.volume)
-
-    def chern_component(self, i):
-        """c_i(tau) as a cohomology class (real degree 2i)."""
-        return self.total_chern.homogeneous_part(2 * i)
 
     def betti_numbers(self):
         """Dimensions of the cohomology per real degree."""
@@ -118,38 +117,52 @@ def product(a, b):
     """Product model; the second factor's generators are renamed on clash."""
     used = {sym for sym, _, _, _ in a.generators}
     pool = iter(s for s in _SYMBOL_POOL if s not in used)
-    images = {}
+    renamed = {}
     new_gens = []
     for sym, gid, deg, nil in b.generators:
-        if sym in used:
-            sym2 = next(pool)
-        else:
-            sym2 = sym
+        sym2 = next(pool, None) if sym in used else sym
+        if sym2 is None:
+            raise ValueError("%s x %s: no letter left to rename %s; products use the %d letters %r"
+                             % (a.name, b.name, sym, len(_SYMBOL_POOL), _SYMBOL_POOL))
         used.add(sym2)
-        gid2 = gen_id(sym2, 1, deg)
-        images[gid] = GradedPolynomial.generator(sym2, 1, degree=deg)
-        new_gens.append((sym2, gid2, deg, nil))
-    chern_b = b.total_chern.substitute(images)
-    # rebuild the volume monomial through the substitution
-    vol_b_poly = GradedPolynomial({b.volume: Q(1)}).substitute(images)
-    (vol_b_mon,) = vol_b_poly.terms
-    gens = a.generators + tuple(new_gens)
+        renamed[gid] = gen_id(sym2, 1, deg)
+        new_gens.append((sym2, renamed[gid], deg, nil))
+    (vol_b,) = _rename(GradedPolynomial({b.volume: 1}), renamed).terms
     return ManifoldModel(
         "%sx%s" % (a.name, b.name),
         a.dim_c + b.dim_c,
-        gens,
-        a.total_chern * chern_b,
-        tuple(sorted(a.volume + vol_b_mon)),
-        embeddings=({}, images),
+        a.generators + tuple(new_gens),
+        a.total_chern * _rename(b.total_chern, renamed),
+        tuple(sorted(a.volume + vol_b)),
+        embeddings=({}, renamed),
     )
+
+
+def _rename(poly, renamed):
+    """``poly`` with each generator g renamed to ``renamed[g]`` where given."""
+    return GradedPolynomial({
+        tuple(sorted((renamed.get(g, g), e) for g, e in m)): canonical(c)
+        for m, c in poly.terms.items()
+    })
 
 
 def embed_factor(model, which, cls):
     """Include a factor's cohomology class into a product model."""
     if not model.embeddings:
         raise ValueError("%s is not a product model" % model.name)
-    images = model.embeddings[which]
-    return cls.substitute(images) if images else cls
+    return _rename(cls, model.embeddings[which])
+
+
+def generator_degrees(generators):
+    """``parse_polynomial``'s ``degree_of``: ``s[1]`` per symbol s, else ``ParseError``."""
+    degs = {sym: deg for sym, _, deg, _ in generators}
+
+    def degree_of(fam, idx):
+        if fam not in degs or idx != 1:
+            raise ParseError("unknown generator %s[%d]" % (fam, idx))
+        return degs[fam]
+
+    return degree_of
 
 
 def _json_field(d, key, kind):
@@ -176,27 +189,21 @@ def manifold_from_json(text_or_dict):
     name = _json_field(d, "name", str)
     dim_c = _json_field(d, "dim_c", int)
     gens = []
-    degs = {}
     for g in _json_field(d, "generators", list):
         if not isinstance(g, dict):
             raise ValueError("a generator must be a JSON object: %r" % (g,))
         sym = _json_field(g, "sym", str)
         deg = _json_field(g, "deg", int)
         nil = _json_field(g, "nilpotency", int)
-        if len(sym) != 1 or not sym.isalpha() or sym in degs:
+        if len(sym) != 1 or not sym.isalpha() or any(sym == h[0] for h in gens):
             raise ValueError("generator symbols must be distinct single letters: %r" % sym)
         if deg <= 0 or deg % 2:
             raise ValueError("generator %s: degree must be even and positive: %d" % (sym, deg))
         if nil < 1:
             raise ValueError("generator %s: nilpotency must be at least 1: %d" % (sym, nil))
-        degs[sym] = deg
         gens.append((sym, gen_id(sym, 1, deg), deg, nil))
 
-    def degree_of(fam, idx):
-        if fam not in degs or idx != 1:
-            raise ValueError("unknown generator %s[%d]" % (fam, idx))
-        return degs[fam]
-
+    degree_of = generator_degrees(gens)
     chern = parse_polynomial(_json_field(d, "total_chern", str), degree_of)
     vol = parse_polynomial(_json_field(d, "volume_monomial", str), degree_of)
     top = tuple(sorted((gid, nil) for _, gid, _, nil in gens))
@@ -230,33 +237,33 @@ def catalog_model(name):
 # Chern characters
 
 
-def _chern_images(model, conjugate=False, upto=None):
-    if upto is None:
-        upto = model.dim_c
-    images = {}
-    for i in range(1, upto + 1):
-        cls = model.chern_component(i)
-        if conjugate and i % 2 == 1:
-            cls = cls * Q(-1)
-        images[gen_id("c", i)] = cls
-    return images
+def _chern_series(model, conjugate=False):
+    """c(tau) up to real degree 2*dim_c; c(conjugate tau) negates c_i, i odd."""
+    c = TruncatedSeries.from_polynomial(model.total_chern, 2 * model.dim_c)
+    return TruncatedSeries([-p if conjugate and d % 4 == 2 else p for d, p in enumerate(c.comps)])
 
 
-def _newton_classes(model, poly, conjugate=False):
-    """A polynomial in the Newton classes N_m, evaluated on tau's Chern classes."""
-    in_e = symm.convert(symm.SymmFn(symm.P, poly), symm.E).value
-    out = in_e.substitute(_chern_images(model, conjugate, upto=poly.max_degree()))
-    return model.reduce(out)
+def _newton_classes(model, conjugate=False):
+    """[N_1(tau), ..., N_n(tau)], n = dim_c, from log c(tau)."""
+    log_c = _chern_series(model, conjugate).log()
+    n = model.dim_c
+    return [model.reduce(log_c.comps[2 * k] * ((-1) ** (k - 1) * k)) for k in range(1, n + 1)]
+
+
+def _ch_from_newton(newton, k):
+    """ch_k = N_k / k! for k >= 1; zero above the dimension."""
+    if k > len(newton):
+        return GradedPolynomial.zero()
+    return newton[k - 1] * Q(1, math.factorial(k))
 
 
 def chern_character(model, k, conjugate=False):
-    """ch_k(tau) = N_k(c_1,...,c_k)/k! in the model's cohomology."""
+    """ch_k(tau) = N_k(tau)/k! in the model's cohomology."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return GradedPolynomial.constant(Q(model.dim_c))
-    nk = GradedPolynomial.generator("N", k)
-    return _newton_classes(model, nk, conjugate) * Q(1, math.factorial(k))
+    return _ch_from_newton(_newton_classes(model, conjugate), k)
 
 
 def diagonal_vanishing_check(model, k):
@@ -314,8 +321,10 @@ def multiplicative_class(model, q_series):
         raise ValueError("multiplicative_class needs exact coefficients")
     # prod Q(x_i) = exp(sum_m l_m N_m(tau)) with l = log Q
     l = PowerSeries1(q_series.coeffs[: n + 1]).log().coeffs
-    arg = add_into({}, ((((gen_id("N", m), 1),), l[m]) for m in range(1, n + 1)))
-    return _ring_exp(model, _newton_classes(model, GradedPolynomial(arg)), None)
+    arg = {}
+    for m, nm in enumerate(_newton_classes(model), 1):
+        add_into(arg, (nm * l[m]).terms)
+    return _ring_exp(model, GradedPolynomial(arg), None)
 
 
 def genus(model, q_series):
@@ -415,9 +424,10 @@ def deformation_exponential(model, params, include_ch1=True):
         (k, v) for k, v in params.entries if include_ch1 or k != 1
     ]
     kind = _numeric_kind([v for _, v in entries])
+    newton = _newton_classes(model)
     arg = {}
     for k, v in entries:
-        ch = chern_character(model, k)
+        ch = _ch_from_newton(newton, k)
         if kind is not None:
             ch = ch.map_coefficients(kind)
         add_into(arg, (ch * v).terms)
@@ -497,18 +507,9 @@ def morphism_module_series(model, bound):
 
 
 def _d_class_images(model):
-    """Odd d-classes of the tangent bundle as cohomology classes."""
-    n = model.dim_c
-    if n == 0:
-        return {}
-    dd = symm.d_classes(n)
-    images = _chern_images(model)
-    cache = {}
-    out = {}
-    for j in range(1, n + 1, 2):
-        cls = model.reduce(dd.comps[j].substitute(images, cache))
-        out[j] = cls
-    return out
+    """Odd d-classes d_j(tau), j <= dim_c, of d = c(conjugate tau) / c(tau)."""
+    d = _chern_series(model, conjugate=True) * _chern_series(model).inverse()
+    return {j: model.reduce(d.comps[2 * j]) for j in range(1, model.dim_c + 1, 2)}
 
 
 def _alpha_partitions(max_tag, dvals):

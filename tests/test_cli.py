@@ -261,6 +261,14 @@ class TestGenusCommand:
         assert code == 1
         assert json.loads(out)["code"] == "parse-error"
 
+    def test_too_many_factors_is_a_value_error(self, capsys):
+        manifold = "x".join(["CP1"] * 14)
+        code, out = run(["genus", "compute", "--manifold", manifold], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["code"] == "value-error"
+        assert "13 letters" in report["message"]
+
     def test_text_format_prints_json(self, capsys):
         code, out = run(["genus", "compute", "--manifold", "CP2", "--format", "text"], capsys)
         assert code == 0
@@ -283,6 +291,21 @@ class TestCoactionCommand:
         assert report["class"] == "1"
         assert report["components"]["1"] == "1"
         assert run(argv + ["1"], capsys) == (0, out)
+
+    @pytest.mark.parametrize("cls", ["c[1]", "x[2]", "x[1] + y[1]"])
+    def test_generator_not_in_the_model(self, capsys, cls):
+        argv = ["coaction", "--manifold", "CP2", "--bound", "4", "--class", cls]
+        code, out = run(argv, capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["code"] == "parse-error"
+        assert "unknown generator" in report["message"]
+
+    def test_product_generators_are_known(self, capsys):
+        argv = ["coaction", "--manifold", "CP1xCP1", "--bound", "4", "--class", "y[1]"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["components"]["1"] == "y[1]"
 
 
 class TestConfigHandling:

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,9 +8,11 @@ from hopfgenus import genus as G
 from hopfgenus import symm
 from hopfgenus.core import (
     GradedPolynomial,
+    ParseError,
     PowerSeries1,
     TruncatedSeries,
     add_into,
+    gen_id,
     parse_polynomial,
 )
 from hopfgenus.rational import Q
@@ -65,6 +68,21 @@ class TestManifoldModels:
         for name in ("CP1xCP1xK3", "CP1xxCP1", "CP1x"):
             with pytest.raises(KeyError):
                 G.catalog_model(name)
+
+    def test_product_out_of_symbols(self):
+        thirteen = G.catalog_model("x".join(["CP1"] * 13))
+        assert len({sym for sym, _, _, _ in thirteen.generators}) == 13
+        with pytest.raises(ValueError, match="13 letters 'xyzuvwabcdefg'"):
+            G.catalog_model("x".join(["CP1"] * 14))
+        with pytest.raises(ValueError, match="13 letters"):
+            G.product(thirteen, G.cp(2))
+
+    def test_generator_degrees(self):
+        degree_of = G.generator_degrees(G.catalog_model("CP1xCP2").generators)
+        assert degree_of("x", 1) == degree_of("y", 1) == 2
+        for fam, idx in (("c", 1), ("x", 2), ("z", 1)):
+            with pytest.raises(ParseError, match=r"unknown generator %s\[%d\]" % (fam, idx)):
+                degree_of(fam, idx)
 
     def test_json_roundtrip(self):
         js = {
@@ -137,6 +155,49 @@ class TestGenera:
             G.multiplicative_class(cp1, PowerSeries1([1.0, 0.5]))
 
 
+def _chern_images(model, conjugate=False, upto=None):
+    """Test-only copy of the former Chern-image map c_i -> c_i(tau),
+    c_i negated for odd i when ``conjugate``."""
+    if upto is None:
+        upto = model.dim_c
+    images = {}
+    for i in range(1, upto + 1):
+        cls = model.total_chern.homogeneous_part(2 * i)
+        if conjugate and i % 2 == 1:
+            cls = cls * Q(-1)
+        images[gen_id("c", i)] = cls
+    return images
+
+
+def _newton_class_via_e(model, k, conjugate=False):
+    """Test-only copy of the former N_k(tau): N_k converted to the Chern
+    basis, specialized to the model's Chern data and reduced."""
+    in_e = symm.convert(symm.SymmFn(symm.P, GradedPolynomial.generator("N", k)), symm.E).value
+    return model.reduce(in_e.substitute(_chern_images(model, conjugate, upto=k)))
+
+
+def _chern_character_via_e(model, k, conjugate=False):
+    if k == 0:
+        return GradedPolynomial.constant(model.dim_c)
+    return _newton_class_via_e(model, k, conjugate) * Q(1, math.factorial(k))
+
+
+def _d_class_images_via_e(model):
+    """Test-only copy of the former odd d-classes: ``symm.d_classes``
+    specialized to the model's Chern data."""
+    n = model.dim_c
+    if n == 0:
+        return {}
+    dd = symm.d_classes(n)
+    images = _chern_images(model)
+    return {j: model.reduce(dd.comps[j].substitute(images)) for j in range(1, n + 1, 2)}
+
+
+def _typed(poly):
+    """Term dict with coefficient types, so that 2 and Fraction(2) differ."""
+    return {m: (type(c), c) for m, c in poly.terms.items()}
+
+
 def _class_via_p_series(model, q_series):
     """Reference multiplicative class: exp(sum l_m N_m) expanded in P,
     each component converted to c and specialized to the Chern data."""
@@ -147,7 +208,7 @@ def _class_via_p_series(model, q_series):
     arg = [GradedPolynomial.zero()] + [
         GradedPolynomial.generator("N", m, coeff=l[m]) for m in range(1, n + 1)
     ]
-    images = G._chern_images(model)
+    images = _chern_images(model)
     total = {}
     for comp in TruncatedSeries(arg).exp().comps:
         in_e = symm.convert(symm.SymmFn(symm.P, comp), symm.E).value
@@ -161,6 +222,62 @@ _REFERENCE_MODELS = (
     + ["CP%dxCP%d" % (a, b) for a in range(1, 4) for b in range(1, 4)]
     + ["CP1xCP1xCP1"]
 )
+
+
+_MY_MANIFOLD = Path(__file__).parent / "golden" / "my_manifold.json"
+
+
+def _reference_model(name):
+    if name == "my_manifold.json":
+        return G.manifold_from_json(_MY_MANIFOLD.read_text())
+    return G.catalog_model(name)
+
+
+class TestAgainstChernBasisPath:
+    """The series operations on c(tau) against conversion to the Chern
+    basis and substitution of the Chern classes (the former path)."""
+
+    @pytest.mark.parametrize("name", _REFERENCE_MODELS + ["my_manifold.json"])
+    def test_newton_classes_and_chern_character(self, name):
+        m = _reference_model(name)
+        for conjugate in (False, True):
+            newton = G._newton_classes(m, conjugate)
+            assert len(newton) == m.dim_c
+            for k, nk in enumerate(newton, 1):
+                assert _typed(nk) == _typed(_newton_class_via_e(m, k, conjugate)), (k, conjugate)
+            for k in range(m.dim_c + 3):
+                ch = G.chern_character(m, k, conjugate)
+                assert _typed(ch) == _typed(_chern_character_via_e(m, k, conjugate)), (k, conjugate)
+
+    @pytest.mark.parametrize("name", _REFERENCE_MODELS + ["my_manifold.json"])
+    def test_d_class_images(self, name):
+        m = _reference_model(name)
+        got = G._d_class_images(m)
+        want = _d_class_images_via_e(m)
+        assert sorted(got) == sorted(want)
+        assert all(_typed(got[j]) == _typed(want[j]) for j in want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_chern_character_of_cpn_closed_form(self, n):
+        # T CP^n + 1 = (n+1) O(1), so ch_k = (n+1) x^k / k! for k >= 1
+        m = G.cp(n)
+        x = G.GradedPolynomial.generator("x", 1, degree=2)
+        assert G.chern_character(m, 0) == GradedPolynomial.constant(n)
+        for k in range(1, n + 3):
+            want = (x**k) * Q(n + 1, math.factorial(k)) if k <= n else GradedPolynomial.zero()
+            assert G.chern_character(m, k) == want, k
+
+    def test_genus_uses_no_basis_tables(self):
+        m = G.catalog_model("CP2xCP3")
+        q = G.a_hat_series(m.dim_c + 1)
+        t = G.DeformationParameters.from_dict({1: Q(1, 2), 3: 2})
+        before = symm._gen_table.cache_info()
+        G.genus(m, q)
+        G.deform_genus(m, q, t)
+        G.chern_character(m, 3)
+        G.chern_character(m, 3, conjugate=True)
+        G.coaction(m, GradedPolynomial.one(), 12)
+        assert symm._gen_table.cache_info() == before
 
 
 class TestAgainstPSeriesPath:
