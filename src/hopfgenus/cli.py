@@ -119,11 +119,18 @@ def _rows_text(header, rows, cfg):
     return "\n".join(lines)
 
 
+def _nonnegative(flag, value):
+    # size flags are checked where they enter, before any library call
+    if value is not None and value < 0:
+        raise CLIError("parse-error", "%s must be nonnegative, got %d" % (flag, value), 2)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_symm(args, cfg):
+    _nonnegative("--max-weight", args.max_weight)
     bound = args.max_weight if args.max_weight is not None else min(cfg["degree"], 20)
     report = {"identity": args.which, "max_weight": bound, "config": _config_echo(cfg)}
     if args.which == "d-classes":
@@ -223,6 +230,7 @@ def _cmd_tor(args, cfg):
 
 
 def _cmd_series(args, cfg):
+    _nonnegative("--bound", args.bound)
     poly_start = 2 if cfg["model"] == "kge0" else 6
     try:
         dims = homology.coefficient_ring_series(
@@ -299,6 +307,7 @@ def _cmd_genus(args, cfg):
 
 
 def _cmd_coaction(args, cfg):
+    _nonnegative("--bound", args.bound)
     model = _load_manifold(args)
     try:
         cls = parse_polynomial(args.cls, genus_mod.generator_degrees(model.generators))

@@ -184,9 +184,6 @@ class GradedPolynomial(LinearCombination):
         g = gen_id(family, index, degree)
         return cls({((g, 1),): 1 if coeff is None else canonical(coeff)})
 
-    def constant_term(self):
-        return self.terms.get((), 0)
-
     def coefficient(self, mon):
         return self.terms.get(tuple(mon), 0)
 

@@ -396,9 +396,6 @@ class DeformationParameters:
     def as_dict(self):
         return dict(self.entries)
 
-    def degree_tag(self, k):
-        return 2 * k
-
     def __add__(self, other):
         return DeformationParameters.from_dict(add_into(self.as_dict(), other.entries))
 

@@ -6,9 +6,12 @@ augmentation Q over such an algebra is computed from the reduced bar
 complex: chains in homological degree s are words of length s in the
 positive-degree basis, the differential contracts adjacent letters with
 the usual bar sign, and dimensions come from exact ranks over Q.  Each
-differential is built once per bidegree, and its rank is taken one
-connected block at a time: the source words that share a target word,
-directly or through a chain of others, form one block.
+level of the complex is built from the one below it: the words of length
+s are x.u for a letter x and a word u of length s - 1, and
+d(x.u) = (-1)^(|x| + 1) (x.u_0 . u[1:] + x . d(u)) reuses the
+differential of u.  Each rank is taken one connected block at a time:
+the source words that share a target word, directly or through a chain
+of others, form one block.
 
 Grading convention: homological degree s adds +s to the total degree
 (one suspension per bar stage), so the exterior generator y_5 produces a
@@ -158,41 +161,30 @@ class TorTable:
         return sorted((s, t, d) for (s, t), d in self.dims.items() if d)
 
 
-def _bar_words(A, length, internal):
-    """Words of the given length in positive basis elements, total degree
-    equal to ``internal``."""
-    return _words(A.degrees, A.positive_indices(), length, internal)
+def _bar_level(A, below, top):
+    """The bar words one letter longer than those of ``below``, by internal
+    degree through ``top``, each with its differential.
 
-
-def _words(degrees, letters, remaining, budget):
-    # Module-level recursion: a nested closure that calls itself is a
-    # reference cycle, which keeps each call's word list alive until the
-    # cyclic garbage collector runs.
-    if remaining == 0:
-        return [()] if budget == 0 else []
-    return [
-        (i,) + rest
-        for i in letters
-        if degrees[i] <= budget - (remaining - 1)
-        for rest in _words(degrees, letters, remaining - 1, budget - degrees[i])
-    ]
-
-
-def _apply_bar_d(A, word):
-    """One bar differential step on a basis word; dict word -> coeff."""
-    out = {}
-    eps = 0
-    for i in range(len(word) - 1):
-        eps += A.degrees[word[i]] + 1
-        add_into(
-            out,
-            (
-                (word[:i] + (k,) + word[i + 2 :], c)
-                for k, c in A.multiply(word[i], word[i + 1])
-            ),
-            -1 if eps % 2 else None,
-        )
-    return out
+    ``below`` and the result map internal degree t to {word: {target word:
+    coeff}}.  The words of degree t are (x,) + u for x in index order and u
+    in the order of ``below[t - |x|]``, and the bar differential is
+    d(x.u) = (-1)^(|x| + 1) (x.u_0 . u[1:] + x . d(u)), zero for u empty.
+    """
+    level = {}
+    for x in A.positive_indices():
+        dx = A.degrees[x]
+        sign = None if dx % 2 else -1  # (-1)^(|x| + 1)
+        for t, words in below.items():
+            if t + dx > top:
+                continue
+            out = level.setdefault(t + dx, {})
+            for u, du in words.items():
+                row = {}
+                if u:
+                    add_into(row, (((k,) + u[1:], c) for k, c in A.multiply(x, u[0])), sign)
+                    add_into(row, (((x,) + v, c) for v, c in du.items()), sign)
+                out[(x,) + u] = row
+    return level
 
 
 def _find(parent, x):
@@ -257,38 +249,34 @@ def tor_via_bar(A, bound):
     dims = {(0, 0): 1}
     if min_deg is None:
         return TorTable(dims, bound)
-    # levels[s][t]: the differential on the bar words of length s and
-    # internal degree t, {word: {target word: coeff}}, built once
-    levels = {}
-
-    def get_diff(s, t):
-        level = levels.setdefault(s, {})
-        if t not in level:
-            level[t] = {w: _apply_bar_d(A, w) for w in _bar_words(A, s, t)}
-        return level[t]
-
+    # below, level, above: the bar words of lengths s - 1, s and s + 1 by
+    # internal degree, each word with its differential; each level is built
+    # from the one below it, through the internal degree the ranks read
+    below = {0: {(): {}}}
+    level = _bar_level(A, below, bound)
     s = 1
     while s * (min_deg + 1) <= bound:
+        above = _bar_level(A, level, bound - s)
         for t in range(s * min_deg, bound - s + 1):
-            diff = get_diff(s, t)
+            diff = level.get(t)
             if not diff:
                 continue
             # d^2 = 0 on every computed word
-            below = get_diff(s - 1, t)
+            targets = below.get(t, {})
             for w, dw in diff.items():
                 dd = {}
                 for mid, c in dw.items():
-                    add_into(dd, below[mid], c)
+                    add_into(dd, targets[mid], c)
                 if dd:
                     raise BarDifferentialError(
                         "bar differential d^2 != 0 on word %r" % (w,)
                     )
             r_out = _diff_rank(diff)
-            r_in = _diff_rank(get_diff(s + 1, t))
+            r_in = _diff_rank(above.get(t, {}))
             d = len(diff) - r_out - r_in
             if d:
                 dims[(s, t)] = d
-        levels.pop(s - 1, None)  # only levels s and s + 1 are read from here on
+        below, level = level, above
         s += 1
     return TorTable(dims, bound)
 

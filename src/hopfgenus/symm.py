@@ -54,9 +54,6 @@ class SymmFn:
         if self.basis not in BASES:
             raise ValueError("unknown basis %r" % self.basis)
 
-    def weight_part(self, k):
-        return SymmFn(self.basis, self.value.homogeneous_part(k))
-
     def __add__(self, other):
         if other.basis != self.basis:
             other = convert(other, self.basis)
@@ -268,11 +265,6 @@ def convert(f, target):
 
 # ---------------------------------------------------------------------------
 # generating functions
-
-
-def chern_from_newton(D):
-    """Series whose weight-k part is c_k written in the P basis."""
-    return TruncatedSeries((GradedPolynomial.one(),) + _gen_table(E, P, D))
 
 
 def d_classes(D):

@@ -13,6 +13,15 @@ def run(argv, capsys):
     return code, out
 
 
+def assert_flag_rejected(argv, flag, capsys):
+    # a negative size flag is a usage error that names the flag
+    code, out = run(argv, capsys)
+    assert code == 2
+    report = json.loads(out)
+    assert report["code"] == "parse-error"
+    assert flag in report["message"]
+
+
 class TestSymmCommand:
     def test_identity_check(self, capsys):
         code, out = run(
@@ -53,6 +62,10 @@ class TestSymmCommand:
         report = json.loads(out)
         assert report["status"] == "mismatch"
         assert report["first_mismatch_weight"] == weight
+
+    def test_negative_max_weight(self, capsys):
+        argv = ["symm", "identity-check", "--which", "d-classes", "--max-weight", "-3"]
+        assert_flag_rejected(argv, "--max-weight", capsys)
 
 
 class TestParserReuse:
@@ -162,6 +175,9 @@ class TestSeriesCommand:
             capsys,
         )
         assert "2,1" in out_k and "2,0" in out_i
+
+    def test_negative_bound(self, capsys):
+        assert_flag_rejected(["series", "--which", "THH", "--bound", "-1"], "--bound", capsys)
 
 
 class TestGenusCommand:
@@ -306,6 +322,10 @@ class TestCoactionCommand:
         code, out = run(argv, capsys)
         assert code == 0
         assert json.loads(out)["components"]["1"] == "y[1]"
+
+    def test_negative_bound(self, capsys):
+        argv = ["coaction", "--manifold", "CP1", "--class", "1", "--bound", "-4"]
+        assert_flag_rejected(argv, "--bound", capsys)
 
 
 class TestConfigHandling:

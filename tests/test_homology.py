@@ -5,6 +5,7 @@ from math import comb, gcd
 import pytest
 
 from hopfgenus import homology as H
+from hopfgenus.core import add_into
 from hopfgenus.rational import Q
 
 from dense_bareiss import dense_bareiss
@@ -105,13 +106,7 @@ class TestTorViaBar:
             H.tor_via_bar(H.exterior_algebra([5], 12), 18)
 
     def test_non_associative_product_breaks_d_squared(self):
-        # x.x = y and x.y = z but y.x = 0, so (xx)x = 0 != z = x(xx)
-        a = H.GradedAlgebraPresentation(
-            ("1", "x", "y", "z"),
-            (0, 1, 2, 3),
-            {(1, 1): ((2, Q(1)),), (1, 2): ((3, Q(1)),)},
-            6,
-        )
+        a = _non_associative_algebra()
         assert not a.is_associative()
         with pytest.raises(H.BarDifferentialError) as err:
             H.tor_via_bar(a, 6)
@@ -142,26 +137,87 @@ def _old_bar_words(A, length, internal):
     return out
 
 
+def _old_apply_bar_d(A, word):
+    # Test-only copy of the earlier differential: the bar sign accumulated
+    # position by position, one contraction of adjacent letters at a time.
+    out = {}
+    eps = 0
+    for i in range(len(word) - 1):
+        eps += A.degrees[word[i]] + 1
+        add_into(
+            out,
+            (
+                (word[:i] + (k,) + word[i + 2 :], c)
+                for k, c in A.multiply(word[i], word[i + 1])
+            ),
+            -1 if eps % 2 else None,
+        )
+    return out
+
+
+def _non_associative_algebra():
+    # x.x = y and x.y = z but y.x = 0, so (xx)x = 0 != z = x(xx)
+    return H.GradedAlgebraPresentation(
+        ("1", "x", "y", "z"),
+        (0, 1, 2, 3),
+        {(1, 1): ((2, Q(1)),), (1, 2): ((3, Q(1)),)},
+        6,
+    )
+
+
+def divided_power_algebra(truncation):
+    """Q[x], |x| = 2, in the basis g_a = a! x^a: g_a g_b = g_{a+b} / C(a+b, a)."""
+    top = truncation // 2
+    labels = ("1",) + tuple("g%d" % a for a in range(1, top + 1))
+    degrees = tuple(2 * a for a in range(top + 1))
+    mult = {
+        (a, b): ((a + b, Q(1, comb(a + b, a))),)
+        for a in range(1, top + 1)
+        for b in range(1, top + 1 - a)
+    }
+    return H.GradedAlgebraPresentation(labels, degrees, mult, truncation)
+
+
+def _levels(algebra, top_length):
+    # levels[s]: the builder's level s, through the algebra's truncation
+    levels = [{0: {(): {}}}]
+    for _ in range(top_length):
+        levels.append(H._bar_level(algebra, levels[-1], algebra.truncation))
+    return levels
+
+
 class TestBarWords:
+    """Each level built from the one below equals the earlier path: the
+    words of every (s, t) enumerated from scratch, in the same order, each
+    with the row of the earlier sign loop, item by item and with the same
+    coefficient types."""
+
     ALGEBRAS = [
         H.exterior_algebra([3, 5, 7, 9], 24),
         H.square_zero_extension([2, 3, 5], 20),
         H.GradedAlgebraPresentation(("1",), (0,), {}, 10),
+        divided_power_algebra(16),
+        H.exterior_algebra([3, 5, 7], 20),
+        _non_associative_algebra(),
     ]
 
     @pytest.mark.parametrize("algebra", ALGEBRAS)
     def test_same_words_in_same_order(self, algebra):
-        for s in range(6):
+        for s, level in enumerate(_levels(algebra, 6)):
             for t in range(algebra.truncation + 1):
-                assert H._bar_words(algebra, s, t) == _old_bar_words(algebra, s, t)
+                words = level.get(t, {})
+                assert list(words) == _old_bar_words(algebra, s, t)
+                for w, row in words.items():
+                    old = _old_apply_bar_d(algebra, w)
+                    assert list(row.items()) == list(old.items())
+                    assert [type(c) for c in row.values()] == [type(c) for c in old.values()]
 
     def test_leaves_no_cyclic_garbage(self):
         algebra = H.square_zero_extension([2, 3, 5], 20)
         gc.collect()
         gc.disable()
         try:
-            for t in range(21):
-                H._bar_words(algebra, 4, t)
+            _levels(algebra, 4)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -189,7 +245,7 @@ def _old_diff_rank(A, words_src, words_tgt):
     rows = []
     for w in words_src:
         row = [0] * len(words_tgt)
-        for tgt, c in H._apply_bar_d(A, w).items():
+        for tgt, c in _old_apply_bar_d(A, w).items():
             row[col[tgt]] = c
         rows.append(row)
     return _old_rank_rational(rows)
@@ -208,7 +264,7 @@ def _old_tor_via_bar(A, bound):
     def get_words(s, t):
         key = (s, t)
         if key not in words:
-            words[key] = H._bar_words(A, s, t)
+            words[key] = _old_bar_words(A, s, t)
         return words[key]
 
     s = 1
@@ -224,19 +280,6 @@ def _old_tor_via_bar(A, bound):
                 dims[(s, t)] = d
         s += 1
     return H.TorTable(dims, bound)
-
-
-def divided_power_algebra(truncation):
-    """Q[x], |x| = 2, in the basis g_a = a! x^a: g_a g_b = g_{a+b} / C(a+b, a)."""
-    top = truncation // 2
-    labels = ("1",) + tuple("g%d" % a for a in range(1, top + 1))
-    degrees = tuple(2 * a for a in range(top + 1))
-    mult = {
-        (a, b): ((a + b, Q(1, comb(a + b, a))),)
-        for a in range(1, top + 1)
-        for b in range(1, top + 1 - a)
-    }
-    return H.GradedAlgebraPresentation(labels, degrees, mult, truncation)
 
 
 class TestAgainstOldRankPath:
