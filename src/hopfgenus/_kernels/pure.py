@@ -6,9 +6,9 @@ A generator id packs ``(degree, family, index)`` into one integer:
     gid = degree << 32 | ord(family) << 24 | index
 
 so sorting by gid sorts by (degree, family, index) and the degree of a
-monomial is recoverable without any side table.  Coefficients are opaque
-Python objects (int, Fraction, float, complex); the kernels only add,
-multiply and compare them with zero.
+monomial is recoverable without any side table.  Coefficients are
+Python numbers (int, Fraction, float, complex); ``mul_terms`` stores its
+sums canonical (see ``rational``), so an integral product is an ``int``.
 
 ``mul_terms`` multiplies ``GradedPolynomial``s and ``monomial_mul`` merges
 the monomials of coproduct terms.  The truncated-series recurrences in
@@ -24,6 +24,8 @@ it, is next changed.
 
 from itertools import compress
 from math import gcd
+
+from ..rational import canonical
 
 BACKEND = "pure"
 
@@ -63,7 +65,7 @@ def monomial_mul(m1, m2):
 
 
 def mul_terms(a, b):
-    """Convolve two term dicts, dropping zero coefficients."""
+    """Convolve two term dicts: zero sums are dropped, the rest made canonical."""
     if len(a) > len(b):
         a, b = b, a
     b_items = list(b.items())
@@ -76,7 +78,7 @@ def mul_terms(a, b):
                 out[m] = ca * cb
             else:
                 out[m] = prev + ca * cb
-    return {m: c for m, c in out.items() if c != 0}
+    return {m: canonical(c) for m, c in out.items() if c != 0}
 
 
 def rank_bareiss(rows):

@@ -337,6 +337,9 @@ def _cmd_coaction(args, cfg):
 def _cmd_acceptance(args, cfg):
     config = acceptance_mod.AcceptanceConfig(degree=cfg["degree"])
     only = set(args.only) if args.only else None
+    unknown = sorted(only - {cid for cid, _, _ in acceptance_mod.CRITERIA}) if only else []
+    if unknown:
+        raise CLIError("parse-error", "--only: unknown criterion ids %s" % unknown, 2)
     results = acceptance_mod.run_all(config, only=only)
     ok = acceptance_mod.all_passed(results)
     if cfg["format"] == "json":

@@ -7,11 +7,11 @@ integer id (see ``_kernels.pure``).  The canonical text format is
 printer round-trip bit-exactly.
 
 Exact coefficients follow the rule of ``rational``: an integral value is
-an ``int`` and a ``Fraction`` has denominator > 1.  Units, generators,
-parsed coefficients, scalar products, exact divisions and the series
-``exp``, ``log`` and ``inverse`` all produce canonical coefficients, so
-integral algebra never leaves the integers; the kernels multiply and
-add whatever coefficients they are given.
+an ``int`` and a ``Fraction`` has denominator > 1.  The arithmetic keeps
+it: constructors, scalar products and exact divisions make canonical
+coefficients, and every sum or product stores ``canonical`` of its
+result (``add_into``, ``mul_terms``, the series operations), so no
+caller has to canonicalise what it reads.
 
 Monomials are gid-sorted tuples of ``(gid, exponent)`` pairs with
 positive exponents; the parser sums a generator's exponents and drops
@@ -67,7 +67,8 @@ def add_into(acc, terms, scale=None):
     ``-c`` and ``c * -1`` can differ in the sign of a zero part) and any
     other scale multiplies them on the right.  Each key's coefficients
     are summed in arrival order starting from ``0``, as the written-out
-    sum would be, so float and complex results are bit-identical to it.
+    sum would be, so float and complex results are bit-identical to it;
+    a stored sum is ``canonical``.
     """
     items = terms.items() if isinstance(terms, dict) else terms
     negate = scale is not None and scale == -1
@@ -81,7 +82,7 @@ def add_into(acc, terms, scale=None):
         if s == 0:
             acc.pop(k, None)
         else:
-            acc[k] = s
+            acc[k] = canonical(s)
     return acc
 
 
@@ -255,15 +256,13 @@ class GradedPolynomial(LinearCombination):
                 out[m] = v
         return GradedPolynomial(out)
 
-    def substitute(self, images, cache=None):
+    def substitute(self, images):
         """Replace generators by polynomials.
 
         ``images`` maps gid -> GradedPolynomial; generators without an
-        image are kept.  A shared power ``cache`` dict may be supplied
-        by callers doing many related substitutions.
+        image are kept.  Each power of an image is formed once per call.
         """
-        if cache is None:
-            cache = {}
+        cache = {}
         result = {}
         for mon, coeff in self.terms.items():
             prod = GradedPolynomial.constant(coeff)
@@ -279,7 +278,7 @@ class GradedPolynomial(LinearCombination):
                     cache[key] = p
                 prod = prod * p
             add_into(result, prod.terms)
-        return GradedPolynomial({m: canonical(c) for m, c in result.items()})
+        return GradedPolynomial(result)
 
     def __repr__(self):
         return "GradedPolynomial(%s)" % format_polynomial(self)
@@ -465,11 +464,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         """Cauchy product.
 
-        Each pair of components is convolved on its own and its nonzero
-        terms are added into the degree's sum with ``add_into``, exactly
-        as adding the pairs' ``GradedPolynomial`` products would.  That
-        keeps the coefficient types of that sum, which depend on where a
-        running sum passes through zero.
+        All the pairs of components of degree k are convolved into one
+        accumulator, whose nonzero sums are made canonical once, as in
+        ``inverse``.
         """
         self._check(other)
         D = self.bound
@@ -481,14 +478,8 @@ class TruncatedSeries:
             acc = {}
             for i in range(k + 1):
                 if a[i] and b[k - i]:
-                    block = {}
-                    _convolve_into(block, a[i], b[k - i])
-                    block = {m: c for m, c in block.items() if c}
-                    if acc:
-                        add_into(acc, block)
-                    else:
-                        acc = block
-            out.append(acc)
+                    _convolve_into(acc, a[i], b[k - i])
+            out.append({m: canonical(c) for m, c in acc.items() if c})
         return layout.series(out)
 
     def inverse(self):
@@ -608,14 +599,14 @@ class PowerSeries1:
 
     def __add__(self, other):
         self._check(other)
-        return PowerSeries1([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return PowerSeries1([canonical(a + b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check(other)
-        return PowerSeries1([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return PowerSeries1([canonical(a - b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, s):
-        return PowerSeries1([c * s for c in self.coeffs])
+        return PowerSeries1([canonical(c * s) for c in self.coeffs])
 
     def __mul__(self, other):
         self._check(other)
@@ -628,7 +619,7 @@ class PowerSeries1:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] = out[i + j] + a * b
-        return PowerSeries1(out)
+        return PowerSeries1([canonical(c) for c in out])
 
     def inverse(self):
         if self.coeffs[0] != 1:

@@ -141,8 +141,7 @@ def product(a, b):
 def _rename(poly, renamed):
     """``poly`` with each generator g renamed to ``renamed[g]`` where given."""
     return GradedPolynomial({
-        tuple(sorted((renamed.get(g, g), e) for g, e in m)): canonical(c)
-        for m, c in poly.terms.items()
+        tuple(sorted((renamed.get(g, g), e) for g, e in m)): c for m, c in poly.terms.items()
     })
 
 
@@ -329,7 +328,7 @@ def multiplicative_class(model, q_series):
 
 def genus(model, q_series):
     """Hirzebruch genus of the model for the characteristic series Q."""
-    return canonical(model.pairing(multiplicative_class(model, q_series)))
+    return model.pairing(multiplicative_class(model, q_series))
 
 
 def genus_from_exponential(f, n):
@@ -339,7 +338,7 @@ def genus_from_exponential(f, n):
     if f.bound < n + 1:
         raise ValueError("exponential truncated below degree %d" % (n + 1))
     g = f.compose_inverse()
-    return (n + 1) * g.coeffs[n + 1]
+    return canonical((n + 1) * g.coeffs[n + 1])
 
 
 def gamma_exponential(bound, zeta_source):
@@ -456,7 +455,7 @@ def deform_genus(model, q_series, params, include_ch1=True):
     kclass = multiplicative_class(model, q_series)
     if kind is not None:
         kclass = kclass.map_coefficients(kind)
-    return canonical(model.pairing(model.reduce(expo * kclass)))
+    return model.pairing(model.reduce(expo * kclass))
 
 
 @dataclass(frozen=True)

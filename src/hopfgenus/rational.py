@@ -5,9 +5,9 @@ is a ``fractions.Fraction`` (``Q``) only when its denominator is greater
 than 1.  Integral algebra (Newton's identities, the d- and a-classes,
 the stuffle product, the bar differential) therefore runs in integers,
 and only a division makes a ``Fraction``.  ``canonical`` and ``divide``
-keep a result to the rule where a coefficient is created; float and
-complex coefficients (the numerical genus deformations) pass through
-both unchanged.
+keep the rule where coefficients are created and where they are
+combined (``core.add_into``, ``mul_terms`` and the series products);
+float and complex coefficients pass through both unchanged.
 """
 
 from fractions import Fraction

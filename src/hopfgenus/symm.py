@@ -346,9 +346,8 @@ class HopfTensor(LinearCombination):
         return HopfTensor(out)
 
 
-@lru_cache(maxsize=None)
 def _coproduct_c(n):
-    """Delta c_n = sum_{i+j=n} c_i (x) c_j as a HopfTensor (cached)."""
+    """Delta c_n = sum_{i+j=n} c_i (x) c_j as a HopfTensor."""
     terms = {}
     for i in range(n + 1):
         left = () if i == 0 else ((gen_id("c", i), 1),)

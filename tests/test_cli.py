@@ -426,3 +426,11 @@ class TestAcceptanceCommand:
         report = json.loads(out)
         assert report["all_passed"] is True
         assert report["results"][0]["id"] == 10
+
+    def test_unknown_id_is_a_parse_error(self, capsys):
+        # a mistyped id must not turn the check into a vacuous pass
+        code, out = run(["acceptance", "--only", "4", "99", "--format", "json"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["code"] == "parse-error"
+        assert "99" in report["message"] and "4" not in report["message"]

@@ -8,11 +8,13 @@ recorded from that tree, and test-only copies of its series recurrences.
 """
 
 import hashlib
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from hopfgenus import qsymm, symm
+from hopfgenus import genus, qsymm, symm
 from hopfgenus.core import (
     GradedPolynomial,
     PowerSeries1,
@@ -23,6 +25,7 @@ from hopfgenus.core import (
 )
 from hopfgenus._kernels import mul_terms
 from hopfgenus.rational import canonical, divide, rational_from_string
+from test_packed_series import _random_series
 
 
 def assert_canonical(coeffs):
@@ -228,3 +231,103 @@ class TestIntegralIdentities:
         assert len(prod.terms) == 216064
         assert {type(c) for c in prod.terms.values()} == {int}
         assert digest([prod.terms]) == STUFFLE
+
+
+# ---------------------------------------------------------------------------
+# sums and products of Fractions with an integral value store an int
+
+
+HALF = Fraction(1, 2)
+C1, C2 = gen_id("c", 1), gen_id("c", 2)
+
+
+def assert_int(x, value):
+    assert type(x) is int and x == value, repr(x)
+
+
+class TestCombinedCoefficients:
+    """Fractions that each entry point combines into an integral value.
+
+    While only creation sites kept the rule, every case here stored an
+    integral ``Fraction`` except ``substitute`` (canonicalised on return),
+    the float/complex guard and the sweep's seeds 1-4 and 7.
+    """
+
+    def test_parse_sums_terms(self):
+        assert_int(parse_polynomial("1/2*c[1] + 1/2*c[1]").coefficient(((C1, 1),)), 1)
+
+    def test_add_and_sub(self):
+        p, q = parse_polynomial("1/2*c[1]"), parse_polynomial("3/2*c[1]")
+        assert_int((p + p).coefficient(((C1, 1),)), 1)
+        assert_int((q - p).coefficient(((C1, 1),)), 1)
+
+    def test_polynomial_product(self):
+        prod = parse_polynomial("1/2*c[1]") * parse_polynomial("2*c[1]")
+        assert_int(prod.coefficient(((C1, 2),)), 1)
+
+    def test_substitute(self):
+        images = {C1: parse_polynomial("1/2*N[1]"), C2: parse_polynomial("2*N[2]")}
+        got = parse_polynomial("c[1]*c[2]").substitute(images)
+        assert_int(got.coefficient(((gen_id("N", 1), 1), (gen_id("N", 2), 1))), 1)
+
+    def test_series_product_in_both_orders(self):
+        c1 = GradedPolynomial.generator("c", 1)
+        a = TruncatedSeries([GradedPolynomial.one(), c1 * HALF, c1 * c1 * HALF])
+        b = TruncatedSeries([GradedPolynomial.one(), c1 * 2, c1 * c1 * HALF])
+        for x, y in ((a, b), (b, a)):
+            assert_int((x * y).comps[2].coefficient(((C1, 2),)), 2)
+
+    def test_power_series_arithmetic(self):
+        f = PowerSeries1([0, HALF, Fraction(3, 2)])
+        g = PowerSeries1([0, 2, HALF])
+        assert (f * g).coeffs == [0, 0, 1]
+        assert (f + g).coeffs == [0, Fraction(5, 2), 2]
+        assert (f - g).coeffs == [0, Fraction(-3, 2), 1]
+        assert f.scale(2).coeffs == [0, 1, 3]
+        for s in (f * g, f + g, f - g, f.scale(2)):
+            assert_canonical(s.coeffs)
+
+    def test_compose_inverse(self):
+        # f = x + x^2/2 - x^3/2 has [x^3] f^{-1} = 2 (1/2)^2 + 1/2 = 1
+        g = PowerSeries1([0, 1, HALF, -HALF]).compose_inverse()
+        assert g.coeffs == [0, 1, -HALF, 1]
+        assert_canonical(g.coeffs)
+
+    def test_genus_from_exponential(self):
+        # the Todd exponential 1 - e^{-x}: Todd(CP^n) = 1
+        f = PowerSeries1([0] + [Fraction((-1) ** (k + 1), factorial(k)) for k in range(1, 7)])
+        for n in range(1, 6):
+            assert_int(genus.genus_from_exponential(f, n), 1)
+
+    def test_stuffle(self):
+        x = qsymm.QSymmElement.monomial((2,), HALF)
+        y = qsymm.QSymmElement.monomial((3,), 2)
+        assert (x * y).terms == {(2, 3): 1, (3, 2): 1, (5,): 1}
+        assert_canonical((x * y).terms.values())
+
+    def test_nsymm_product(self):
+        prod = qsymm.NSymmElement.word((1,), HALF) * qsymm.NSymmElement.word((2,), 2)
+        assert_int(prod.terms[(1, 2)], 1)
+
+    def test_coproduct(self):
+        # Delta(e1^2 / 2) has e1 (x) e1 with coefficient 1/2 + 1/2
+        f = symm.SymmFn(symm.E, parse_polynomial("1/2*c[1]^2"))
+        e1 = ((C1, 1),)
+        assert_int(symm.coproduct(f).terms[(e1, e1)], 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_series_sweep(self, seed):
+        rng = random.Random(seed)
+        D = rng.randint(3, 8)
+        a = _random_series(rng, D, "fraction", 1)
+        b = _random_series(rng, D, "fraction", rng.choice([0, 1, 2]))
+        arg = _random_series(rng, D, "fraction", 0)
+        for s in (a * b, b * a, a.inverse(), arg.exp(), a.log()):
+            assert_canonical(series_coeffs(s))
+
+    def test_float_and_complex_pass_through(self):
+        m = ((C1, 1),)
+        assert type(add_into({m: 1.5}, {m: 0.5})[m]) is float
+        assert type(add_into({m: 1 + 0j}, {m: 1})[m]) is complex
+        assert type(mul_terms({m: 2.0}, {(): 1})[m]) is float
+        assert type(mul_terms({m: 2 + 0j}, {(): 1})[m]) is complex
