@@ -16,10 +16,12 @@ caller has to canonicalise what it reads.
 Monomials are gid-sorted tuples of ``(gid, exponent)`` pairs with
 positive exponents; the parser sums a generator's exponents and drops
 zero ones, so equal monomials have equal keys.  ``GradedPolynomial``
-products go through the kernel ``mul_terms``.  The four recurrences of
-``TruncatedSeries`` (``*``, ``inverse``, ``exp``, ``log``) instead run on
-packed exponent vectors, one integer per monomial, in which a monomial
-product is an integer sum (``_PackedLayout``).
+products go through the kernel ``mul_terms``.  The four series
+recurrences (``*``, ``inverse``, ``exp``, ``log``) are written once, as
+``_series_mul`` etc., on packed exponent vectors, one integer per
+monomial, in which a monomial product is an integer sum.
+``TruncatedSeries`` packs its monomials with a ``_PackedLayout``;
+``PowerSeries1`` packs x^k as the integer k.
 
 Everything here is immutable-by-convention and pure: operations return
 new values and never mutate their inputs.  The one exception is
@@ -30,7 +32,7 @@ only the accumulator dict its caller created.
 import re
 
 from ._kernels import monomial_degree, mul_terms
-from .rational import Q, canonical, divide, rational_from_string
+from .rational import canonical, divide, rational_from_string
 
 _FAM_SHIFT = 24
 _DEG_SHIFT = 32
@@ -302,6 +304,63 @@ def _convolve_into(acc, a, b):
             acc[k] = ca * cb if prev is None else prev + ca * cb
 
 
+# The four series recurrences, written once for ``TruncatedSeries`` and
+# ``PowerSeries1``.  A series is a list of packed term dicts, one per
+# degree 0..D; every key of the dict of degree k is a monomial of degree
+# k, and the preconditions on the constant term are the callers'.
+
+
+def _series_mul(a, b):
+    """The Cauchy product of two packed series of one bound."""
+    out = []
+    for k in range(len(a)):
+        acc = {}
+        for i in range(k + 1):
+            if a[i] and b[k - i]:
+                _convolve_into(acc, a[i], b[k - i])
+        out.append({m: canonical(c) for m, c in acc.items() if c})
+    return out
+
+
+def _series_inverse(a):
+    """1/a for a packed series with constant term 1 (a[0] is not read)."""
+    inv = [{0: 1}]
+    for k in range(1, len(a)):
+        acc = {}
+        for j in range(1, k + 1):
+            if a[j] and inv[k - j]:
+                _convolve_into(acc, a[j], inv[k - j])
+        inv.append({m: canonical(-c) for m, c in acc.items() if c})
+    return inv
+
+
+def _series_exp(a):
+    """exp(a) for a packed series with zero constant term."""
+    scaled = [{m: canonical(c * j) for m, c in t.items()} for j, t in enumerate(a)]
+    out = [{0: 1}]
+    for k in range(1, len(a)):
+        acc = {}
+        for j in range(1, k + 1):
+            if scaled[j] and out[k - j]:
+                _convolve_into(acc, scaled[j], out[k - j])
+        out.append({m: divide(c, k) for m, c in acc.items() if c})
+    return out
+
+
+def _series_log(a):
+    """log(a) for a packed series with constant term 1 (a[0] is not read)."""
+    out = [{}]
+    scaled = [{}]  # j out_j
+    for k in range(1, len(a)):
+        acc = {m: canonical(-k * c) for m, c in a[k].items()}
+        for j in range(1, k):
+            if scaled[j] and a[k - j]:
+                _convolve_into(acc, scaled[j], a[k - j])
+        scaled.append({m: -c for m, c in acc.items() if c})
+        out.append({m: divide(c, -k) for m, c in acc.items() if c})
+    return out
+
+
 class _PackedLayout:
     """Packed exponent vectors for one truncated-series operation.
 
@@ -469,37 +528,18 @@ class TruncatedSeries:
         ``inverse``.
         """
         self._check(other)
-        D = self.bound
-        layout = _PackedLayout((self, other), D)
-        a = layout.pack(self)
-        b = layout.pack(other)
-        out = []
-        for k in range(D + 1):
-            acc = {}
-            for i in range(k + 1):
-                if a[i] and b[k - i]:
-                    _convolve_into(acc, a[i], b[k - i])
-            out.append({m: canonical(c) for m, c in acc.items() if c})
-        return layout.series(out)
+        layout = _PackedLayout((self, other), self.bound)
+        return layout.series(_series_mul(layout.pack(self), layout.pack(other)))
 
     def inverse(self):
         """Multiplicative inverse; requires constant term 1."""
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series inverse needs constant term 1")
-        D = self.bound
-        layout = _PackedLayout((self,), D)
-        a = layout.pack(self)
-        inv = [{0: 1}]
-        for k in range(1, D + 1):
-            acc = {}
-            for j in range(1, k + 1):
-                if a[j] and inv[k - j]:
-                    _convolve_into(acc, a[j], inv[k - j])
-            inv.append({m: canonical(-c) for m, c in acc.items() if c})
-        return layout.series(inv)
+        layout = _PackedLayout((self,), self.bound)
+        return layout.series(_series_inverse(layout.pack(self)))
 
     def exp(self):
-        """Exponential; requires zero constant term and exact coefficients.
+        """Exponential; requires zero constant term.
 
         k out_k = sum_j (j a_j) out_{k-j}: the j a_j are formed once, the
         sum is taken in the coefficients' own type and each coefficient
@@ -507,19 +547,8 @@ class TruncatedSeries:
         """
         if self.comps[0].terms:
             raise ConstantTermError("series exp needs zero constant term")
-        D = self.bound
-        layout = _PackedLayout((self,), D)
-        scaled = [
-            {m: canonical(c * j) for m, c in t.items()} for j, t in enumerate(layout.pack(self))
-        ]
-        out = [{0: 1}]
-        for k in range(1, D + 1):
-            acc = {}
-            for j in range(1, k + 1):
-                if scaled[j] and out[k - j]:
-                    _convolve_into(acc, scaled[j], out[k - j])
-            out.append({m: divide(c, k) for m, c in acc.items() if c})
-        return layout.series(out)
+        layout = _PackedLayout((self,), self.bound)
+        return layout.series(_series_exp(layout.pack(self)))
 
     def log(self):
         """Logarithm; requires constant term 1.
@@ -531,19 +560,8 @@ class TruncatedSeries:
         """
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series log needs constant term 1")
-        D = self.bound
-        layout = _PackedLayout((self,), D)
-        a = layout.pack(self)
-        out = [{}]
-        scaled = [{}]  # j out_j
-        for k in range(1, D + 1):
-            acc = {m: canonical(-k * c) for m, c in a[k].items()}
-            for j in range(1, k):
-                if scaled[j] and a[k - j]:
-                    _convolve_into(acc, scaled[j], a[k - j])
-            scaled.append({m: -c for m, c in acc.items() if c})
-            out.append({m: divide(c, -k) for m, c in acc.items() if c})
-        return layout.series(out)
+        layout = _PackedLayout((self,), self.bound)
+        return layout.series(_series_log(layout.pack(self)))
 
     def __repr__(self):
         return "TruncatedSeries(bound=%d, %s)" % (
@@ -557,6 +575,9 @@ class PowerSeries1:
 
     Used for characteristic series, formal-group logarithms and the
     Gamma-function exponential.  Coefficient index = power of x.
+    ``*``, ``inverse``, ``exp`` and ``log`` run the recurrences of
+    ``TruncatedSeries`` (``_series_mul`` etc.), written once for both
+    classes, with x^k packed as the key k.
     """
 
     __slots__ = ("coeffs",)
@@ -608,54 +629,31 @@ class PowerSeries1:
     def scale(self, s):
         return PowerSeries1([canonical(c * s) for c in self.coeffs])
 
+    def _packed(self):
+        return [{k: c} if c else {} for k, c in enumerate(self.coeffs)]
+
+    @classmethod
+    def _from_packed(cls, packed):
+        return cls([t.get(k, 0) for k, t in enumerate(packed)])
+
     def __mul__(self, other):
         self._check(other)
-        D = self.bound
-        out = [0] * (D + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(D + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries1([canonical(c) for c in out])
+        return PowerSeries1._from_packed(_series_mul(self._packed(), other._packed()))
 
     def inverse(self):
         if self.coeffs[0] != 1:
             raise ConstantTermError("series inverse needs constant term 1")
-        D = self.bound
-        inv = [canonical(self.coeffs[0] ** 0)]  # int 1, or 1 in a numeric type
-        for k in range(1, D + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * inv[k - j]
-            inv.append(canonical(-acc))
-        return PowerSeries1(inv)
+        return PowerSeries1._from_packed(_series_inverse(self._packed()))
 
     def exp(self):
         if self.coeffs[0] != 0:
             raise ConstantTermError("series exp needs zero constant term")
-        D = self.bound
-        out = [canonical(self.coeffs[1] ** 0) if D >= 1 else 1]
-        for k in range(1, D + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                acc = acc + j * self.coeffs[j] * out[k - j]
-            out.append(divide(acc, k))
-        return PowerSeries1(out)
+        return PowerSeries1._from_packed(_series_exp(self._packed()))
 
     def log(self):
         if self.coeffs[0] != 1:
             raise ConstantTermError("series log needs constant term 1")
-        D = self.bound
-        out = [canonical(0 * self.coeffs[0])]
-        for k in range(1, D + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k):
-                acc = acc - Q(j, k) * out[j] * self.coeffs[k - j]
-            out.append(canonical(acc))
-        return PowerSeries1(out)
+        return PowerSeries1._from_packed(_series_log(self._packed()))
 
     def compose(self, inner):
         """self(inner(x)); inner must have zero constant term."""

@@ -337,7 +337,7 @@ def genus_from_exponential(f, n):
         return 1 if is_exact(f.coeffs[1]) else 1.0
     if f.bound < n + 1:
         raise ValueError("exponential truncated below degree %d" % (n + 1))
-    g = f.compose_inverse()
+    g = PowerSeries1(f.coeffs[: n + 2]).compose_inverse()
     return canonical((n + 1) * g.coeffs[n + 1])
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .core import GradedPolynomial, InvariantError, LinearCombination, add_into, gen_id
+from .core import GradedPolynomial, InvariantError, LinearCombination, add_into
 from .rational import canonical
 from . import symm
 
@@ -153,11 +153,7 @@ def abelianize(x):
     """Ring map NSymm -> Symm sending the word (i_1,..,i_k) to h_{i1}...h_{ik}."""
     out = {}
     for word, c in x.terms.items():
-        mon = {}
-        for part in word:
-            g = gen_id("h", part)
-            mon[g] = mon.get(g, 0) + 1
-        add_into(out, {tuple(sorted(mon.items())): c})
+        add_into(out, {symm.partition_monomial(symm.H, word): c})
     return symm.SymmFn(symm.H, GradedPolynomial(out))
 
 

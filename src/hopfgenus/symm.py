@@ -19,6 +19,7 @@ form is a cross-check run by the identity checker.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from . import linalg
 from ._kernels import monomial_mul
@@ -458,8 +459,6 @@ def _primitive_combinations(mons, defects):
 
 def _coproduct_p_monomial(mon):
     """Coproduct of a P-basis monomial: the N_k are primitive."""
-    from math import comb
-
     result = {((), ()): 1}
     for gid, e in mon:
         new = {}
@@ -468,7 +467,7 @@ def _coproduct_p_monomial(mon):
                 lm = left + ((gid, a),) if a else left
                 rm = right + ((gid, e - a),) if e - a else right
                 key = (tuple(sorted(lm)), tuple(sorted(rm)))
-                new[key] = new.get(key, 0) + c * comb(e, a)
+                add_into(new, {key: c * comb(e, a)})
         result = new
     return result
 

@@ -150,6 +150,22 @@ class TestGenera:
         for n in range(1, 5):
             assert G.genus_from_exponential(f, n) == G.genus(G.cp(n), qf)
 
+    def test_exponential_inverts_only_what_it_reads(self, monkeypatch):
+        # the Todd exponential 1 - e^{-x} to x^14: Todd(CP^n) = 1
+        f = PowerSeries1([0] + [Q((-1) ** (k + 1), math.factorial(k)) for k in range(1, 15)])
+        full = [(n + 1) * f.compose_inverse().coeffs[n + 1] for n in range(1, 6)]
+        bounds = []
+        compose_inverse = PowerSeries1.compose_inverse
+
+        def spy(self):
+            bounds.append(self.bound)
+            return compose_inverse(self)
+
+        monkeypatch.setattr(PowerSeries1, "compose_inverse", spy)
+        got = [G.genus_from_exponential(f, n) for n in range(1, 6)]
+        assert got == full == [1] * 5
+        assert bounds == [n + 1 for n in range(1, 6)]
+
     def test_multiplicative_class_rejects_floats(self, cp1):
         with pytest.raises(ValueError):
             G.multiplicative_class(cp1, PowerSeries1([1.0, 0.5]))

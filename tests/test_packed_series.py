@@ -19,11 +19,12 @@ from hopfgenus._kernels import monomial_degree, mul_terms
 from hopfgenus.core import (
     GradedPolynomial,
     HomogeneityError,
+    PowerSeries1,
     TruncatedSeries,
     add_into,
     gen_id,
 )
-from hopfgenus.rational import canonical
+from hopfgenus.rational import canonical, divide
 
 # ---------------------------------------------------------------------------
 # the tuple-monomial recurrences
@@ -281,3 +282,136 @@ def test_from_polynomial_buckets_by_degree():
         s = TruncatedSeries.from_polynomial(poly, bound)
         assert s.comps == [poly.homogeneous_part(d) for d in range(bound + 1)]
         assert s.polynomial() == poly.truncate(bound)
+
+
+# ---------------------------------------------------------------------------
+# PowerSeries1 on the shared recurrences
+#
+# The _scalar_* functions are copies of the loops PowerSeries1 ran on its
+# coefficient lists before it called the packed recurrences of
+# TruncatedSeries.
+
+
+def _scalar_mul(x, y):
+    D = len(x) - 1
+    out = [0] * (D + 1)
+    for i, a in enumerate(x):
+        if a == 0:
+            continue
+        for j in range(D + 1 - i):
+            b = y[j]
+            if b != 0:
+                out[i + j] = out[i + j] + a * b
+    return [canonical(c) for c in out]
+
+
+def _scalar_inverse(x):
+    inv = [canonical(x[0] ** 0)]
+    for k in range(1, len(x)):
+        acc = 0
+        for j in range(1, k + 1):
+            acc = acc + x[j] * inv[k - j]
+        inv.append(canonical(-acc))
+    return inv
+
+
+def _scalar_exp(x):
+    D = len(x) - 1
+    out = [canonical(x[1] ** 0) if D >= 1 else 1]
+    for k in range(1, D + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            acc = acc + j * x[j] * out[k - j]
+        out.append(divide(acc, k))
+    return out
+
+
+def _scalar_log(x):
+    out = [canonical(0 * x[0])]
+    for k in range(1, len(x)):
+        acc = x[k]
+        for j in range(1, k):
+            acc = acc - Fraction(j, k) * out[j] * x[k - j]
+        out.append(canonical(acc))
+    return out
+
+
+_SCALAR = {"mul": _scalar_mul, "inverse": _scalar_inverse, "exp": _scalar_exp, "log": _scalar_log}
+_CONSTANT = {"mul": None, "inverse": 1, "exp": 0, "log": 1}
+
+
+def _random_coeffs(rng, D, kind, constant):
+    if kind == "float":
+        draw = lambda: rng.choice([0.0, rng.uniform(-2, 2)])  # noqa: E731
+        constant = None if constant is None else float(constant)
+    else:
+        draw = lambda: rng.choice([0, _random_coeff(rng, kind)])  # noqa: E731
+    coeffs = [draw() for _ in range(D + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    return coeffs
+
+
+def _operands(rng, op, D, kind):
+    n = 2 if op == "mul" else 1
+    return [_random_coeffs(rng, D, kind, _CONSTANT[op]) for _ in range(n)]
+
+
+def _apply(op, series):
+    return series[0] * series[1] if op == "mul" else getattr(series[0], op)()
+
+
+def _typed_list(coeffs):
+    return [(c, type(c)) for c in coeffs]
+
+
+@pytest.mark.parametrize("op", ["mul", "inverse", "exp", "log"])
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_power_series_against_scalar_loops(op, kind):
+    rng = random.Random(7)
+    for D in range(13):
+        for _ in range(4):
+            args = _operands(rng, op, D, kind)
+            got = _apply(op, [PowerSeries1(x) for x in args]).coeffs
+            assert _typed_list(got) == _typed_list(_SCALAR[op](*args)), (D, args)
+
+
+@pytest.mark.parametrize("op", ["mul", "inverse", "exp"])
+def test_power_series_floats_are_bit_equal(op):
+    # The shared recurrences start inverse and exp from the int 1 and drop
+    # a zero sum, which then reads back as the int 0; the scalar loops
+    # kept the float type there.  Every other coefficient has the same
+    # bits and the same type.
+    rng = random.Random(11)
+    for D in range(13):
+        for _ in range(4):
+            args = _operands(rng, op, D, "float")
+            got = _apply(op, [PowerSeries1(x) for x in args]).coeffs
+            want = _SCALAR[op](*args)
+            assert len(got) == len(want)
+            for k, (g, w) in enumerate(zip(got, want)):
+                if type(g) is type(w):
+                    assert g.hex() == w.hex() if type(g) is float else g == w, (D, k, args)
+                elif k == 0 and op in ("inverse", "exp"):
+                    assert (g, type(g), w, type(w)) == (1, int, 1.0, float)
+                else:
+                    assert (g, type(g), type(w)) == (0, int, float) and w == 0, (D, k, args)
+
+
+T = gen_id("t", 1, 1)
+
+
+def _one_generator(coeffs):
+    mon = lambda k: ((T, k),) if k else ()  # noqa: E731
+    return TruncatedSeries([GradedPolynomial({mon(k): c} if c else {}) for k, c in enumerate(coeffs)])
+
+
+@pytest.mark.parametrize("op", ["mul", "inverse", "exp", "log"])
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_power_series_equals_one_generator_series(op, kind):
+    rng = random.Random(13)
+    for D in range(13):
+        args = _operands(rng, op, D, kind)
+        got = _one_generator(_apply(op, [PowerSeries1(x) for x in args]).coeffs)
+        want = _apply(op, [_one_generator(x) for x in args])
+        assert [_typed(c.terms) for c in got.comps] == [_typed(c.terms) for c in want.comps], D
