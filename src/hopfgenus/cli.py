@@ -13,7 +13,6 @@ import math
 import sys
 from functools import lru_cache
 
-from . import acceptance as acceptance_mod
 from . import genus as genus_mod
 from . import homology, mzv, qsymm, symm
 from .core import ParseError, format_polynomial, parse_polynomial
@@ -335,6 +334,8 @@ def _cmd_coaction(args, cfg):
 
 
 def _cmd_acceptance(args, cfg):
+    from . import acceptance as acceptance_mod  # only this command runs the suite
+
     config = acceptance_mod.AcceptanceConfig(degree=cfg["degree"])
     only = set(args.only) if args.only else None
     unknown = sorted(only - {cid for cid, _, _ in acceptance_mod.CRITERIA}) if only else []

@@ -472,22 +472,6 @@ class DeformedGenus:
         return deform_genus(model, self.q_series, self.params, include_ch1)
 
 
-def a_hat_zeta_parameters(kmax, target_error=1e-10, bott_power=0):
-    """t_{2k+1} = zeta(2k+1) deformation parameters for A-hat_zeta.
-
-    The grading by powers of the Bott class is tracked by the degree tag
-    on t_k, so bott_power = 0 (no numeric factor) is the default
-    normalization.
-    """
-    from .mzv import mzv_eval
-
-    entries = []
-    for k in range(3, kmax + 1, 2):
-        val = mzv_eval((k,), target_error).value * (2.0 ** bott_power)
-        entries.append((k, val))
-    return DeformationParameters(tuple(entries))
-
-
 # ---------------------------------------------------------------------------
 # morphism-module series and the coaction model
 

@@ -32,15 +32,23 @@ suffix of length j of dual(w).  A word ending in 1 has an index
 (Li of the empty word is 1).  Every factor is nonnegative, so products
 of lower (upper) ends of the factors bound zeta(w) from below (above).
 
-One sweep over n = 1..N gives Li of every suffix of a word: the suffix
-starting inside block i is (t, c_{i+1},...,c_m) with 1 <= t <= c_i, and
+The suffix starting inside block i is (t, c_{i+1},...,c_m) with
+1 <= t <= c_i, and
 
     Li_{t,c_{i+1},...,c_m}(1/2) = sum_{n>=1} 2^{-n} n^{-t} Q_{i+1}(n-1),
     Q_i(n) = Q_i(n-1) + n^{-c_i} Q_{i+1}(n-1),  Q_{m+1} = 1,
 
-so all suffixes share the nested partial sums Q.  All quantities are
-Python integers scaled by 2^B and rounded by floor division only, so each
-is a lower bound.  Rounding count: a floor loses less than one unit, and
+so all suffixes share the nested partial sums Q.  The sweep runs one
+level at a time, from level m to level 1.  Level i divides the whole
+list Q_{i+1}(n-1), n = 1..N, by n once per t; each quotient list, scaled
+by 2^{-n} and summed, is the head of the suffix (t, c_{i+1},...), and the
+running sums of the last one are the Q_i(n-1) that level i-1 divides.
+A level depends only on the index suffix (c_i,...,c_m), so a word and
+its dual, and the words of one QSymm element, compute a shared level
+once.  All quantities are Python integers scaled by 2^B and rounded by
+floor division only, so each is a lower bound.  They are the floors of
+the recursion in n, taken in the same order, so the rounding count is
+unchanged: a floor loses less than one unit, and
 a loss e in Q_{i+1}(n-1) costs at most e/n after division by n^{c_i};
 by induction a Q with r levels is less than r*n units short after n
 steps.  A term of a depth-r suffix is then short by less than
@@ -52,7 +60,8 @@ sum_{n>N} n^{r-1} 2^{-n} <= 4 (N+1)^{r-1} 2^{-N-1} once
 upper end of each factor is its lower end plus both counts.
 
 B and N are sized from the target, and escalate only if the certified
-radius misses it.  The exact interval becomes a CertifiedReal: the value
+radius misses it; the depth >= 2 terms of a QSymm element share one B and
+one N.  The exact interval becomes a CertifiedReal: the value
 is the float nearest its midpoint, the radius the distance to the
 farther end, rounded up and at least one ulp of the value.
 """
@@ -60,11 +69,9 @@ farther end, rounded up and at least one ulp of the value.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import floordiv, rshift
 
-import numpy as np
-
-_LD = np.longdouble
-_EPS_LD = float(np.finfo(_LD).eps)
 _BLOCK = 1 << 21
 MAX_TERMS = 1 << 27
 
@@ -181,6 +188,10 @@ def _zeta_tail_enclosure(s, N):
 
 def _pow_sum(N, s):
     """sum_{i<=N} i^-s in long doubles, plus a rounding allowance."""
+    import numpy as np  # only depth 1 needs it: the package imports without it
+
+    _LD = np.longdouble
+    _EPS_LD = float(np.finfo(_LD).eps)
     total = _LD(0)
     for a in range(1, N + 1, _BLOCK):
         b = min(N, a + _BLOCK - 1)
@@ -240,80 +251,114 @@ def _tail_units(N, r, B):
 
 
 def _terms(B, r):
-    """The least N >= B whose depth-r tail is at most N units 2^-B."""
-    N = B
-    while not _ratio_below_three_quarters(N, r) or _tail_units(N, r, B) > N:
-        N += 1
-    return N
+    """The least N >= B whose depth-r tail is at most N units 2^-B.
+
+    The condition is monotone in N: the ratio bound, once it holds, makes
+    the tail shrink by 3/4 per step while N grows.  Doubling steps bracket
+    the least N and bisection finds it.
+    """
+
+    def ok(N):
+        return _ratio_below_three_quarters(N, r) and _tail_units(N, r, B) <= N
+
+    lo, step = B - 1, 1  # ok(lo) is false or lo < B
+    while not ok(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def _suffix_polylogs(index, B, N):
+def _suffix_polylogs(index, B, N, levels):
     """Lower ends and widths (units 2^-B) of Li_u(1/2) for the suffixes u.
 
     Entry L of each returned list belongs to the suffix of length L of
-    the word of ``index``; the empty suffix is exactly 1.
+    the word of ``index``; the empty suffix is exactly 1.  ``levels`` maps
+    an index suffix to its level at this B and N: its heads, its last
+    quotients and the width of each head.  Levels missing from it are
+    computed and added.
     """
-    m = len(index)
-    q = [0] * m + [1 << B]  # q[i] = 2^B Q_{i+1}(n-1) for 0-based level i
-    heads = [[0] * c for c in index]  # heads[i][t-1]: suffix (t, index[i+1:])
-    for n in range(1, N + 1):
-        if not max(q) >> n:
-            break  # q at most doubles per step: every later term is 0 too
-        for i in range(m):  # q[i + 1] still holds step n - 1
-            v, row = q[i + 1], heads[i]
-            for t in range(index[i]):
-                v //= n  # floor(floor(x / n^t) / n) = floor(x / n^(t+1))
-                row[t] += v >> n  # one floor: floor(x / (n^(t+1) 2^n))
-            if i:
-                q[i] += v
+    index = tuple(index)
+    ns = range(1, N + 1)
     lower, width = [1 << B], [0]
-    for i in reversed(range(m)):
-        r = m - i
-        slack = N + r - 1 + _tail_units(N, r, B)
-        for t in range(index[i]):
-            lower.append(heads[i][t])
-            width.append(slack)
+    quotients = None  # of the level below
+    for i in reversed(range(len(index))):
+        suffix = index[i:]
+        level = levels.get(suffix)
+        if level is None:
+            # 2^B Q_{i+1}(n-1) for n = 1..N (map stops at the shorter input)
+            v = repeat(1 << B, N) if quotients is None else accumulate(quotients, initial=0)
+            heads = []
+            for _ in range(index[i]):
+                v = list(map(floordiv, v, ns))  # floor(floor(x / n^t) / n) = floor(x / n^(t+1))
+                heads.append(sum(map(rshift, v, ns)))  # one floor: floor(x / (n^(t+1) 2^n))
+            r = len(suffix)
+            level = levels[suffix] = (heads, v, N + r - 1 + _tail_units(N, r, B))
+        heads, quotients, slack = level
+        lower += heads
+        width += [slack] * len(heads)
     return lower, width
 
 
-def _holder_interval(idx, B, N):
+def _holder_interval(idx, B, N, levels):
     """Integers lo <= 2^(2B) zeta(idx) <= hi (increasing convention)."""
     index = idx[::-1]
     word = _word(index)
-    lo_w, dw = _suffix_polylogs(index, B, N)
-    lo_d, dd = _suffix_polylogs(_blocks([1 - e for e in reversed(word)]), B, N)
+    lo_w, dw = _suffix_polylogs(index, B, N, levels)
+    lo_d, dd = _suffix_polylogs(_blocks([1 - e for e in reversed(word)]), B, N, levels)
     n = len(word)
     lo = sum(lo_d[j] * lo_w[n - j] for j in range(n + 1))
     hi = sum((lo_d[j] + dd[j]) * (lo_w[n - j] + dw[n - j]) for j in range(n + 1))
     return lo, hi
 
 
-def _nested_eval(idx, target):
-    weight, depth = sum(idx), len(idx)
-    r = max(depth, weight - depth)  # the deepest suffix of the word or its dual
-    need = max(0, math.ceil(-math.log2(target)))
-    quarter = Fraction(target) / 4
+def _nested_eval(words, target, center=0, radius=0):
+    """Enclosure of center + sum c zeta(idx) over the (idx, c) in ``words``.
+
+    Every idx has depth >= 2; ``center`` and ``radius`` are exact and
+    already enclose the rest of a sum.  All words share one B, one N and
+    the levels of their sweeps; the c*lo and c*hi ends are summed exactly
+    and rounded once.
+    """
+    slack = Fraction(target) - radius
+    r = max(max(len(idx), sum(idx) - len(idx)) for idx, _ in words)  # the deepest suffix
+    scale = math.ceil(sum(abs(c) * (sum(idx) + 1) for idx, c in words))
+    need = max(0, math.ceil(-math.log2(slack)))
     B = need + 8
     while True:
         N = _terms(B, r)
         # a factor is at most 1 and its width at most 2N + r units, so the
-        # half width is at most (weight + 1)(2N + r + 1) 2^-B: size B for
-        # target / 4
-        B_min = need + (4 * (weight + 1) * (2 * N + r + 1)).bit_length()
+        # half width of a word is at most (weight + 1)(2N + r + 1) 2^-B:
+        # size B for slack / 4
+        B_min = need + (4 * scale * (2 * N + r + 1)).bit_length()
         if B < B_min:
             B = B_min
             continue
-        lo, hi = _holder_interval(idx, B, N)
+        levels, lo, hi = {}, 0, 0
+        for idx, c in words:
+            a, b = _holder_interval(idx, B, N, levels)
+            lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
         half = Fraction(hi - lo, 1 << (2 * B + 1))
-        enc = _enclose(Fraction(lo + hi, 1 << (2 * B + 1)), half)
+        enc = _enclose(center + Fraction(lo + hi, 1 << (2 * B + 1)), radius + half)
         if enc.error_bound <= target:
             return enc
-        if half <= quarter:
+        if half <= slack / 4:
+            what = words[0][0] if len(words) == 1 else "a sum of %d multizeta values" % len(words)
             raise PrecisionError(
                 "cannot certify %s to %g: the float value %r has radius at least %g"
-                % (idx, target, enc.value, enc.error_bound)
+                % (what, target, enc.value, enc.error_bound)
             )
         B += 8
+
+
+def _check_target(target_error):
+    if not 0 < target_error < math.inf:
+        raise ValueError("target_error must be positive and finite: %r" % (target_error,))
 
 
 def mzv_eval(idx, target_error=1e-8):
@@ -325,32 +370,42 @@ def mzv_eval(idx, target_error=1e-8):
     >= 2 below the resolution of a float value).
     """
     idx = _check_index(idx)
-    if not 0 < target_error < math.inf:
-        raise ValueError("target_error must be positive and finite: %r" % (target_error,))
+    _check_target(target_error)
     if len(idx) == 1:
         return _zeta_enclosure(idx[0], target_error)
-    return _nested_eval(idx, target_error)
+    return _nested_eval([(idx, 1)], target_error)
 
 
 def zeta_specialize(q, target_error=1e-8):
     """The ring homomorphism QSymm -> R on an element with admissible terms.
 
-    The exact rational coefficients scale the enclosures in exact
-    arithmetic; the sum is rounded once, outward.
+    Each depth-1 term gets target_error / (number of terms) / max(1, |c|)
+    through ``mzv_eval``.  The depth >= 2 terms share the rest of the
+    target: one B and one N for all of them, with each level of their
+    sweeps computed once.  The exact rational coefficients scale the
+    exact interval ends and the depth-1 enclosures, and the sum is
+    rounded once, outward; B grows only if its radius misses the target.
     """
     bad = [a for a in q.terms if not is_admissible(a)]
     if bad:
         raise DivergentIndexError(sorted(bad))
+    _check_target(target_error)
     terms = sorted(q.terms.items())
     if not terms:
         return CertifiedReal(0.0, 0.0)
     budget = target_error / len(terms)
     center = radius = Fraction(0)
+    words = []
     for alpha, coeff in terms:
         c = Fraction(coeff)
+        if len(alpha) > 1:
+            words.append((alpha, c))
+            continue
         enclosure = mzv_eval(alpha, budget / max(1.0, abs(float(c))))
         center += c * Fraction(enclosure.value)
         radius += abs(c) * Fraction(enclosure.error_bound)
+    if words:
+        return _nested_eval(words, target_error, center, radius)
     return _enclose(center, radius)
 
 

@@ -1,11 +1,16 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hopfgenus import mzv
-from hopfgenus.qsymm import QSymmElement
+from hopfgenus.qsymm import QSymmElement, quasi_shuffle
 from hopfgenus.rational import Q
 
 PI2_6 = math.pi**2 / 6
@@ -138,6 +143,14 @@ class TestSpecialization:
         enc = mzv.zeta_specialize(q, 1e-12)
         ref = depth_two[2, 3] / 3 - 2 * mp.zeta(5) / 7
         assert abs(mp.mpf(enc.value) - ref) <= enc.error_bound <= 1.01e-12
+
+    def test_target_must_be_positive_and_finite(self):
+        with pytest.raises(ValueError):
+            mzv.zeta_specialize(QSymmElement.monomial((2, 3)), 0.0)
+
+    def test_precision_error_below_float_resolution(self):
+        with pytest.raises(mzv.PrecisionError):
+            mzv.zeta_specialize(QSymmElement.monomial((2, 3), Q(2)) + QSymmElement.monomial((3, 2)), 1e-20)
 
     def test_homomorphism_depth_one(self):
         a = QSymmElement.monomial((2,))
@@ -328,7 +341,7 @@ def _exact_suffix_polylogs(index, terms):
 def test_suffix_polylogs_bracket_exact_sums(index, B):
     # the proven rounding count and tail bound must bracket the exact sums
     N = mzv._terms(B, len(index))
-    lower, width = mzv._suffix_polylogs(index, B, N)
+    lower, width = mzv._suffix_polylogs(index, B, N, {})
     exact = _exact_suffix_polylogs(index, 160)
     assert len(lower) == len(width) == len(exact) == sum(index) + 1
     for lo, w, (total, rest) in zip(lower, width, exact):
@@ -341,3 +354,149 @@ def test_tail_bound_is_an_upper_bound(r, B):
     N = mzv._terms(B, r)
     tail = sum(Fraction(n ** (r - 1), 2**n) for n in range(N + 1, N + 4000))
     assert tail * 2**B <= mzv._tail_units(N, r, B) <= N
+
+
+def test_cli_import_leaves_numpy_to_depth_one():
+    # numpy loads with the first depth-1 evaluation, not with the package
+    code = (
+        "import sys, hopfgenus.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "enc = hopfgenus.cli.mzv.mzv_eval((3,), 1e-10)\n"
+        "assert enc.contains(1.2020569031595942) and 'numpy' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mzv.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The per-n sweep, the linear _terms scan and the per-word zeta_specialize
+# that the sweep by levels and the shared element pass replaced, kept here
+# as references.
+
+
+def _old_terms(B, r):
+    N = B
+    while not mzv._ratio_below_three_quarters(N, r) or mzv._tail_units(N, r, B) > N:
+        N += 1
+    return N
+
+
+def _old_suffix_polylogs(index, B, N):
+    m = len(index)
+    q = [0] * m + [1 << B]
+    heads = [[0] * c for c in index]
+    for n in range(1, N + 1):
+        if not max(q) >> n:
+            break
+        for i in range(m):
+            v, row = q[i + 1], heads[i]
+            for t in range(index[i]):
+                v //= n
+                row[t] += v >> n
+            if i:
+                q[i] += v
+    lower, width = [1 << B], [0]
+    for i in reversed(range(m)):
+        r = m - i
+        slack = N + r - 1 + mzv._tail_units(N, r, B)
+        for t in range(index[i]):
+            lower.append(heads[i][t])
+            width.append(slack)
+    return lower, width
+
+
+def _old_nested_eval(idx, target):
+    weight, depth = sum(idx), len(idx)
+    r = max(depth, weight - depth)
+    need = max(0, math.ceil(-math.log2(target)))
+    quarter = Fraction(target) / 4
+    B = need + 8
+    while True:
+        N = _old_terms(B, r)
+        B_min = need + (4 * (weight + 1) * (2 * N + r + 1)).bit_length()
+        if B < B_min:
+            B = B_min
+            continue
+        index = idx[::-1]
+        word = mzv._word(index)
+        lo_w, dw = _old_suffix_polylogs(index, B, N)
+        lo_d, dd = _old_suffix_polylogs(mzv._blocks([1 - e for e in reversed(word)]), B, N)
+        n = len(word)
+        lo = sum(lo_d[j] * lo_w[n - j] for j in range(n + 1))
+        hi = sum((lo_d[j] + dd[j]) * (lo_w[n - j] + dw[n - j]) for j in range(n + 1))
+        half = Fraction(hi - lo, 1 << (2 * B + 1))
+        enc = mzv._enclose(Fraction(lo + hi, 1 << (2 * B + 1)), half)
+        if enc.error_bound <= target:
+            return enc
+        if half <= quarter:
+            raise mzv.PrecisionError(idx)
+        B += 8
+
+
+def _old_zeta_specialize(q, target_error):
+    terms = sorted(q.terms.items())
+    budget = target_error / len(terms)
+    center = radius = Fraction(0)
+    for alpha, coeff in terms:
+        c = Fraction(coeff)
+        enclosure = mzv.mzv_eval(alpha, budget / max(1.0, abs(float(c))))
+        center += c * Fraction(enclosure.value)
+        radius += abs(c) * Fraction(enclosure.error_bound)
+    return mzv._enclose(center, radius)
+
+
+def test_terms_search_matches_the_linear_scan():
+    for B in range(400):
+        for r in range(1, 14):
+            assert mzv._terms(B, r) == _old_terms(B, r), (B, r)
+
+
+def test_level_sweep_matches_the_per_n_sweep():
+    rng = random.Random(16)
+    for _ in range(100):
+        index = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+        B = rng.randint(0, 120)
+        N = mzv._terms(B, len(index)) + rng.randint(0, 20)
+        # a shared dict serves the index and indices that share its suffixes
+        levels = {}
+        for k in range(len(index)):
+            prefixed = [rng.randint(1, 5)] + index[k:]
+            assert mzv._suffix_polylogs(prefixed, B, N, levels) == _old_suffix_polylogs(prefixed, B, N)
+        assert mzv._suffix_polylogs(index, B, N, levels) == _old_suffix_polylogs(index, B, N)
+        assert mzv._suffix_polylogs(index, B, N, {}) == _old_suffix_polylogs(index, B, N)
+
+
+def test_mzv_eval_matches_the_per_n_evaluator():
+    # bit-identical: the same floors give the same interval at the same B and N
+    rng = random.Random(16)
+    for _ in range(40):
+        depth = rng.randint(2, 4)
+        idx = tuple(rng.randint(1, 3) for _ in range(depth - 1)) + (rng.randint(2, 4),)
+        target = 10.0 ** -rng.uniform(4, 13)
+        new, old = mzv.mzv_eval(idx, target), _old_nested_eval(idx, target)
+        assert (new.value, new.error_bound) == (old.value, old.error_bound), (idx, target)
+
+
+# the benchmark's stuffle checks: the sides of pair i against those of
+# pairs i, i+1 and i+2, with random coefficients
+STUFFLE_PAIRS = [((2,), (3, 3)), ((3,), (2, 2)), ((4,), (1, 4)), ((5,), (2, 3)), ((2, 2), (3, 2)), ((2,), (4,))]
+
+
+@pytest.mark.parametrize("i", range(len(STUFFLE_PAIRS)))
+def test_shared_levels_agree_with_the_per_word_sum(mp, depth_two, i):
+    rng, target = random.Random(i), 1e-6
+
+    def reference(side):
+        return sum(c * (mp.zeta(w[0]) if len(w) == 1 else depth_two[w]) for w, c in side.items())
+
+    for k in (0, 1, 2):
+        sides = []
+        for u, v in (STUFFLE_PAIRS[i], STUFFLE_PAIRS[(i + k) % len(STUFFLE_PAIRS)]):
+            sides.append({u: rng.choice([-2, -1, 1, 2, 3]), v: rng.choice([-1, 1, 2])})
+        a, b = (QSymmElement(s) for s in sides)
+        refs = [reference(sides[0]), reference(sides[1])]
+        for q, ref in zip((a, b, quasi_shuffle(a, b)), refs + [refs[0] * refs[1]]):
+            new = mzv.zeta_specialize(q, target)
+            assert new.overlaps(_old_zeta_specialize(q, target))
+            assert math.ulp(new.value) <= new.error_bound <= target
+            assert abs(mp.mpf(new.value) - ref) <= new.error_bound
