@@ -148,6 +148,7 @@ def _cmd_symm(args, cfg):
 
 
 def _cmd_qsymm(args, cfg):
+    _nonnegative("--bound", args.bound)
     try:
         profile = qsymm.GeneratorProfile.from_text(args.profile)
     except ValueError as exc:

@@ -198,13 +198,22 @@ class GeneratorProfile:
         text = text.strip()
         if text == "all":
             return cls.all_positive()
-        if text.startswith("odd:"):
-            return cls.odd_from(int(text[4:]))
-        if text.startswith("arith:"):
-            start, step = text[6:].split(":")
-            return cls(int(start), int(step))
-        if text.startswith("set:"):
-            return cls(explicit=tuple(int(w) for w in text[4:].split(",")))
+        kind, _, body = text.partition(":")
+        try:
+            if kind == "odd":
+                start = int(body)
+            elif kind == "arith":
+                start, step = map(int, body.split(":"))
+            elif kind == "set":
+                weights = tuple(int(w) for w in body.split(","))
+        except ValueError as exc:
+            raise ValueError("cannot parse profile %r" % text) from exc
+        if kind == "odd":
+            return cls.odd_from(start)
+        if kind == "arith":
+            return cls(start, step)
+        if kind == "set":
+            return cls(explicit=weights)
         raise ValueError("cannot parse profile %r" % text)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from . import linalg
 from ._kernels import monomial_mul
 from .core import (
     GradedPolynomial,
@@ -200,25 +199,27 @@ def _p_lambda_in_m(lam):
 
 @lru_cache(maxsize=None)
 def _m_in_p_weight(w):
-    """Matrix expressing each m_lambda of weight w in the p basis."""
+    """Each m_lambda of weight w in the p basis, by back substitution.
+
+    In partition order the p-to-m matrix is upper triangular, with
+    diagonal entries prod_i m_i(lambda)!: p_lambda expands only into the
+    m_mu whose mu merges parts of lambda, and those sort after lambda
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.6).  Rows and
+    entries come in partition order; an entry below the diagonal, or none
+    on it, raises ``InvariantError``.
+    """
     lams = sorted(partitions(w))
-    index = {lam: i for i, lam in enumerate(lams)}
-    n = len(lams)
-    # A[i][j] = coefficient of m_{lams[j]} in p_{lams[i]}
-    A = [[0] * n for _ in range(n)]
-    for i, lam in enumerate(lams):
-        for nu, c in _p_lambda_in_m(lam):
-            A[i][index[nu]] += c
-    # row lambda of A^{-1} is m_lambda in the p basis; read it off rref [A | I]
-    red, pivots = linalg.rref(
-        [row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(A)]
-    )
-    if pivots != list(range(n)):
-        raise InvariantError("p-to-m matrix of weight %d is singular" % w)
     out = {}
-    for lam, row in zip(lams, red):
-        out[lam] = {mu: x for mu, x in zip(lams, row[n:]) if x != 0}
-    return out
+    for lam in reversed(lams):
+        expansion = dict(_p_lambda_in_m(lam))
+        diag = expansion.pop(lam, 0)
+        if not diag or any(nu < lam for nu in expansion):
+            raise InvariantError("p-to-m matrix of weight %d is not upper triangular" % w)
+        row = {lam: 1}
+        for nu, c in expansion.items():
+            add_into(row, out[nu], -c)
+        out[lam] = {mu: divide(row[mu], diag) for mu in sorted(row)}
+    return {lam: out[lam] for lam in lams}
 
 
 def _to_m(poly_in_p):
@@ -410,50 +411,28 @@ def coassociativity_defect(f):
 def primitive_space(k, model=BU_MOD_SO):
     """Basis of the primitive subspace in weight k, in the E basis.
 
-    The N_k are primitive, so the coproduct of a P-basis monomial is a
-    binomial expansion; the primitive combinations of the model's
-    P-monomials are solved for exactly and converted to E.  The BUmodSO
-    model is generated by the odd N's and carries primitives only in
-    odd weights (topological degree congruent to 2 mod 4); BU is
-    generated by all of them and has the primitive N_k in every weight.
+    The N_k are primitive, so each key (left, right) of the coproduct of
+    a P-monomial p_lambda has left * right = p_lambda.  Distinct
+    monomials thus have coproduct defects with disjoint supports, no
+    combination cancels a nonzero defect, and the primitives are spanned
+    by the model's P-monomials with zero defect, converted to E.  BUmodSO
+    is generated by the odd N's and has primitives only in odd weights
+    (topological degree 2 mod 4); BU is generated by all of them and has
+    the primitive N_k in every weight.
     """
     if k < 1:
         return []
     if model not in (BU, BU_MOD_SO):
         raise ValueError("unknown model %r" % model)
-    lams = [
-        lam
+    mons = [
+        partition_monomial(P, lam)
         for lam in sorted(partitions(k))
         if model == BU or all(p % 2 == 1 for p in lam)
     ]
-    mons = [partition_monomial(P, lam) for lam in lams]
-    defects = [_primitive_defect(_coproduct_p_monomial(mon), {mon: 1}) for mon in mons]
     return [
-        convert(SymmFn(P, poly), E) for poly in _primitive_combinations(mons, defects)
-    ]
-
-
-def _primitive_combinations(mons, defects):
-    """Nullspace basis, as polynomials over ``mons``, of the defect matrix.
-
-    ``defects[j]`` is the coproduct defect dict of ``mons[j]``; each
-    returned polynomial is a combination of the monomials whose defects
-    cancel.
-    """
-    rows_index = {}
-    cols = []
-    for defect in defects:
-        col = {}
-        for key, c in defect.items():
-            col[rows_index.setdefault(key, len(rows_index))] = c
-        cols.append(col)
-    matrix = [[0] * len(mons) for _ in range(len(rows_index))]
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            matrix[i][j] = c
-    return [
-        GradedPolynomial(add_into({}, zip(mons, vec)))
-        for vec in linalg.nullspace(matrix, len(mons))
+        convert(SymmFn(P, GradedPolynomial({mon: 1})), E)
+        for mon in mons
+        if not _primitive_defect(_coproduct_p_monomial(mon), {mon: 1})
     ]
 
 

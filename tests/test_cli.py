@@ -86,6 +86,17 @@ class TestParserReuse:
         assert out == "(1,1,2)\n(1,3)\n(4)\n"
 
 
+class TestQsymmCommand:
+    @pytest.mark.parametrize("text", ["arith:1", "arith:1:2:3", "odd:x", "set:", "set:3,,5", "set:a"])
+    def test_malformed_profile(self, text, capsys):
+        code, out = run(["qsymm", "hilbert", "--profile", text, "--bound", "5"], capsys)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "message": "cannot parse profile %r" % text}
+
+    def test_negative_bound(self, capsys):
+        assert_flag_rejected(["qsymm", "hilbert", "--bound", "-3"], "--bound", capsys)
+
+
 class TestMzvCommand:
     def test_eval(self, capsys):
         code, out = run(["mzv", "eval", "--index", "(2)", "--error", "1e-8"], capsys)

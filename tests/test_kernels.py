@@ -9,6 +9,7 @@ from hopfgenus._kernels import BACKEND, pure
 from hopfgenus.core import gen_id
 
 from dense_bareiss import dense_bareiss
+from gauss_jordan import rref
 
 
 class TestBackendAgreement:
@@ -60,11 +61,11 @@ def _random_int_matrix(rng, nrows, ncols, entries):
 
 class TestSparseRank:
     """``pure.rank_bareiss`` (sparse elimination over Z) against the frozen
-    dense Bareiss kernel and the pivot count of ``linalg.rref``."""
+    dense Bareiss kernel and the pivot count of the frozen Gauss-Jordan ``rref``."""
 
     def _check(self, m):
         rank = pure.rank_bareiss(m)
-        assert rank == dense_bareiss(m) == len(linalg.rref(m)[1])
+        assert rank == dense_bareiss(m) == len(rref(m)[1])
         return rank
 
     def test_random_shapes(self):
@@ -134,18 +135,18 @@ def _random_matrix(rng, nrows, ncols):
 
 
 class TestRankRational:
-    """``linalg.rank_rational`` against the pivot count of ``linalg.rref``,
-    an independent rational Gauss-Jordan."""
+    """``linalg.rank_rational`` against the pivot count of the frozen
+    rational Gauss-Jordan ``rref``."""
 
     def test_matches_rref_pivots(self):
         rng = random.Random(20261018)
         for _ in range(300):
             m = _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-            assert linalg.rank_rational(m) == len(linalg.rref(m)[1])
+            assert linalg.rank_rational(m) == len(rref(m)[1])
 
     def test_degenerate_shapes(self):
         for m in ([], [[]], [[0]], [[0, 0], [0, 0]], [[Fraction(0)]]):
-            assert linalg.rank_rational(m) == len(linalg.rref(m)[1]) == 0
+            assert linalg.rank_rational(m) == len(rref(m)[1]) == 0
 
     def test_denominators_are_cleared_per_row(self):
         m = [[Fraction(1, 6), Fraction(1, 4)], [Fraction(2, 3), 1]]
@@ -173,7 +174,7 @@ class TestRankRational:
         seen = []
         monkeypatch.setattr(linalg, "rank_bareiss", lambda rows: seen.extend(rows) or pure.rank_bareiss(rows))
         m = [[Fraction(2), Fraction(-4), 0], [Fraction(1, 2), 1, Fraction(3)], [1, 2, 3]]
-        assert linalg.rank_rational(m) == len(linalg.rref(m)[1]) == 3
+        assert linalg.rank_rational(m) == len(rref(m)[1]) == 3
         assert seen == [[2, -4, 0], [1, 2, 6], [1, 2, 3]]
         assert all(type(x) is int for row in seen for x in row)
 

@@ -223,3 +223,23 @@ class TestHilbert:
         assert GeneratorProfile.from_text("arith:2:4").weights_upto(11) == [2, 6, 10]
         with pytest.raises(ValueError):
             GeneratorProfile.from_text("junk")
+
+    @pytest.mark.parametrize("text", ["arith:1", "arith:1:2:3", "odd:x", "set:", "set:3,,5", "set:a"])
+    def test_malformed_profile_names_the_text(self, text):
+        with pytest.raises(ValueError) as info:
+            GeneratorProfile.from_text(text)
+        assert str(info.value) == "cannot parse profile %r" % text
+        assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("odd:2", "odd profile must start at an odd weight"),
+            ("arith:0:1", "profile weights must be positive"),
+            ("arith:1:0", "profile weights must be positive"),
+        ],
+    )
+    def test_out_of_range_profile_keeps_its_message(self, text, message):
+        with pytest.raises(ValueError) as info:
+            GeneratorProfile.from_text(text)
+        assert str(info.value) == message

@@ -5,9 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgenus import symm
-from hopfgenus.core import GradedPolynomial, TruncatedSeries, gen_id, parse_polynomial
+from hopfgenus.core import (
+    GradedPolynomial,
+    InvariantError,
+    TruncatedSeries,
+    add_into,
+    gen_id,
+    parse_polynomial,
+)
 from hopfgenus.qsymm import polynomial_hilbert
 from hopfgenus.rational import Q, divide
+
+from gauss_jordan import nullspace, rref
 
 
 def epoly(text):
@@ -78,6 +87,65 @@ class TestConversions:
         )
 
 
+def _m_in_p_by_gauss_jordan(w):
+    """Test-only copy of the former ``_m_in_p_weight``: rref of [A | I]."""
+    lams = sorted(symm.partitions(w))
+    index = {lam: i for i, lam in enumerate(lams)}
+    n = len(lams)
+    A = [[0] * n for _ in range(n)]
+    for i, lam in enumerate(lams):
+        for nu, c in symm._p_lambda_in_m(lam):
+            A[i][index[nu]] += c
+    red, pivots = rref([row + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(A)])
+    assert pivots == list(range(n))
+    return {lam: {mu: x for mu, x in zip(lams, row[n:]) if x != 0} for lam, row in zip(lams, red)}
+
+
+def _typed(table):
+    # values, coefficient types and the order of rows and entries
+    return [(lam, [(mu, type(x), x) for mu, x in row.items()]) for lam, row in table.items()]
+
+
+class TestMonomialInverse:
+    def test_matches_gauss_jordan(self):
+        for w in range(1, 11):
+            assert _typed(symm._m_in_p_weight(w)) == _typed(_m_in_p_by_gauss_jordan(w)), w
+
+    def test_is_the_inverse_of_p_to_m(self):
+        # sum_mu A[lambda][mu] A^-1[mu] = e_lambda, A read off _p_lambda_in_m
+        for w in range(1, 13):
+            inverse = symm._m_in_p_weight(w)
+            for lam in symm.partitions(w):
+                product = {}
+                for mu, c in symm._p_lambda_in_m(lam):
+                    add_into(product, inverse[mu], c)
+                assert product == {lam: 1}, (w, lam)
+
+    @pytest.mark.parametrize("defect", ["below", "no-diagonal"])
+    def test_non_triangular_matrix_is_rejected(self, defect, monkeypatch):
+        expand = symm._p_lambda_in_m
+
+        def broken(lam):
+            terms = expand(lam)
+            if lam != (2, 1, 1):
+                return terms
+            if defect == "below":
+                # m_(1,1,1,1) sorts before (2,1,1)
+                return terms + (((1, 1, 1, 1), 1),)
+            return tuple(t for t in terms if t[0] != lam)
+
+        caches = (symm._m_in_p_weight, expand)
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(symm, "_p_lambda_in_m", broken)
+        try:
+            with pytest.raises(InvariantError, match="weight 4"):
+                symm._m_in_p_weight(4)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+
 class TestGeneratingFunctions:
     def test_d1(self):
         d = symm.d_classes(3)
@@ -122,6 +190,29 @@ class TestGeneratingFunctions:
         a = symm.a_classes(12)
         for k in range(2, 13, 2):
             assert a.comps[k].coefficient(((gen_id("b", k), 1),)) == 2, k
+
+
+def _primitive_combinations(mons, defects):
+    """Test-only copy of the former nullspace path: a basis, as polynomials
+    over ``mons``, of the combinations whose coproduct defects cancel."""
+    rows_index = {}
+    cols = []
+    for defect in defects:
+        col = {}
+        for key, c in defect.items():
+            col[rows_index.setdefault(key, len(rows_index))] = c
+        cols.append(col)
+    matrix = [[0] * len(mons) for _ in range(len(rows_index))]
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            matrix[i][j] = c
+    # dropping repeated rows leaves the nullspace as it is; the coproduct
+    # is cocommutative, so the keys (l, r) and (r, l) give one row twice
+    rows = list(dict.fromkeys(map(tuple, matrix)))
+    return [
+        GradedPolynomial(add_into({}, zip(mons, vec)))
+        for vec in nullspace(rows, len(mons))
+    ]
 
 
 class TestHopf:
@@ -192,9 +283,32 @@ class TestHopf:
                 )
                 for mon in mons
             ]
-            (old,) = symm._primitive_combinations(mons, defects)
+            (old,) = _primitive_combinations(mons, defects)
             (new,) = symm.primitive_space(k, symm.BU)
             assert new.value == old * Q((-1) ** (k - 1) * k), k
+
+    @pytest.mark.parametrize("model", [symm.BU, symm.BU_MOD_SO])
+    def test_primitive_space_matches_the_p_basis_nullspace(self, model):
+        for k in range(1, 13):
+            lams = [
+                lam
+                for lam in sorted(symm.partitions(k))
+                if model == symm.BU or all(p % 2 for p in lam)
+            ]
+            mons = [symm.partition_monomial(symm.P, lam) for lam in lams]
+            defects = [
+                symm._primitive_defect(symm._coproduct_p_monomial(mon), {mon: 1})
+                for mon in mons
+            ]
+            old = [
+                symm.convert(symm.SymmFn(symm.P, poly), symm.E)
+                for poly in _primitive_combinations(mons, defects)
+            ]
+            new = symm.primitive_space(k, model)
+            # term order included
+            assert [(f.basis, list(f.value.terms.items())) for f in new] == [
+                (f.basis, list(f.value.terms.items())) for f in old
+            ], (model, k)
 
 
 class TestDimensionCounts:
