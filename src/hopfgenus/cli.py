@@ -216,8 +216,9 @@ def _parse_algebra(text, bound):
 
 def _cmd_tor(args, cfg):
     # The algebra is truncated at --bound unless --degree is given on the
-    # command line; a negative bound reaches tor_via_bar's own check.
-    truncation = args.degree if args.degree is not None else max(args.bound, 0)
+    # command line.
+    _nonnegative("--bound", args.bound)
+    truncation = args.degree if args.degree is not None else args.bound
     try:
         algebra = _parse_algebra(args.algebra, truncation)
         table = homology.tor_via_bar(algebra, args.bound)

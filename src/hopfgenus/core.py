@@ -17,9 +17,13 @@ Monomials are gid-sorted tuples of ``(gid, exponent)`` pairs with
 positive exponents; the parser sums a generator's exponents and drops
 zero ones, so equal monomials have equal keys.  ``GradedPolynomial``
 products go through the kernel ``mul_terms``.  The four series
-recurrences (``*``, ``inverse``, ``exp``, ``log``) are written once, as
-``_series_mul`` etc., on packed exponent vectors, one integer per
-monomial, in which a monomial product is an integer sum.
+recurrences are written once, on packed exponent vectors, one integer
+per monomial, in which a monomial product is an integer sum: ``*``
+(``_series_mul``), ``/`` (``_series_div``; ``inverse`` is 1/b),
+``exp_scaled`` and ``log_scaled`` (t a'/a).  ``exp`` and ``log`` are
+thin scalings of the last two: ``exp`` feeds k a_k to ``exp_scaled``,
+and ``log`` divides component k of ``log_scaled`` by k.  The scaled
+forms keep Newton's identities integral, with no rational round trip.
 ``TruncatedSeries`` packs its monomials with a ``_PackedLayout``;
 ``PowerSeries1`` packs x^k as the integer k.
 
@@ -304,7 +308,7 @@ def _convolve_into(acc, a, b):
             acc[k] = ca * cb if prev is None else prev + ca * cb
 
 
-# The four series recurrences, written once for ``TruncatedSeries`` and
+# The series recurrences, written once for ``TruncatedSeries`` and
 # ``PowerSeries1``.  A series is a list of packed term dicts, one per
 # degree 0..D; every key of the dict of degree k is a monomial of degree
 # k, and the preconditions on the constant term are the callers'.
@@ -322,43 +326,69 @@ def _series_mul(a, b):
     return out
 
 
-def _series_inverse(a):
-    """1/a for a packed series with constant term 1 (a[0] is not read)."""
-    inv = [{0: 1}]
+def _series_div(a, b):
+    """a/b for packed series of one bound; b has constant term 1 (b[0] is not read).
+
+    q_k = a_k - sum_{j>=1} b_j q_{k-j}.  The step starts its accumulator
+    at -a_k, adds every product and stores canonical(-sum), so that 1/b
+    adds the products in the order of the written-out sum and float
+    results are bit-identical to it.
+    """
+    q = [dict(a[0])]
     for k in range(1, len(a)):
-        acc = {}
+        acc = {m: -c for m, c in a[k].items()}
         for j in range(1, k + 1):
-            if a[j] and inv[k - j]:
-                _convolve_into(acc, a[j], inv[k - j])
-        inv.append({m: canonical(-c) for m, c in acc.items() if c})
-    return inv
+            if b[j] and q[k - j]:
+                _convolve_into(acc, b[j], q[k - j])
+        q.append({m: canonical(-c) for m, c in acc.items() if c})
+    return q
 
 
-def _series_exp(a):
-    """exp(a) for a packed series with zero constant term."""
-    scaled = [{m: canonical(c * j) for m, c in t.items()} for j, t in enumerate(a)]
+def _series_exp_scaled(s):
+    """exp(sum_k s_k t^k / k) for a packed series s (s[0] is not read).
+
+    k out_k = sum_{j=1..k} s_j out_{k-j}: the sum is taken in the
+    coefficients' own type and each coefficient is divided exactly by k.
+    """
     out = [{0: 1}]
-    for k in range(1, len(a)):
+    for k in range(1, len(s)):
         acc = {}
         for j in range(1, k + 1):
-            if scaled[j] and out[k - j]:
-                _convolve_into(acc, scaled[j], out[k - j])
+            if s[j] and out[k - j]:
+                _convolve_into(acc, s[j], out[k - j])
         out.append({m: divide(c, k) for m, c in acc.items() if c})
     return out
 
 
-def _series_log(a):
-    """log(a) for a packed series with constant term 1 (a[0] is not read)."""
+def _series_log_scaled(a):
+    """[k log(a)_k] = t a'/a for a packed series with constant term 1 (a[0] is not read).
+
+    L_k = k a_k - sum_{0<j<k} L_j a_{k-j}.  The step sums
+    -L_k = -k a_k + sum_{0<j<k} L_j a_{k-j}, so that every product is
+    added, and stores canonical(-sum).  There is no division: integral
+    input gives integral output.
+    """
     out = [{}]
-    scaled = [{}]  # j out_j
     for k in range(1, len(a)):
         acc = {m: canonical(-k * c) for m, c in a[k].items()}
         for j in range(1, k):
-            if scaled[j] and a[k - j]:
-                _convolve_into(acc, scaled[j], a[k - j])
-        scaled.append({m: -c for m, c in acc.items() if c})
-        out.append({m: divide(c, -k) for m, c in acc.items() if c})
+            if out[j] and a[k - j]:
+                _convolve_into(acc, out[j], a[k - j])
+        out.append({m: canonical(-c) for m, c in acc.items() if c})
     return out
+
+
+def _series_exp(a):
+    """exp(a) for a packed series with zero constant term: s_k = k a_k."""
+    return _series_exp_scaled(
+        [{m: canonical(c * k) for m, c in t.items()} for k, t in enumerate(a)]
+    )
+
+
+def _series_log(a):
+    """log(a) for a packed series with constant term 1: L_k / k."""
+    scaled = _series_log_scaled(a)
+    return [{}] + [{m: divide(c, k) for m, c in t.items()} for k, t in enumerate(scaled[1:], 1)]
 
 
 class _PackedLayout:
@@ -446,11 +476,14 @@ class TruncatedSeries:
     are absent by construction.  Mismatched bounds raise rather than
     silently re-truncating.
 
-    Precondition of ``*``, ``inverse``, ``exp`` and ``log``: every term
-    of component k has degree k.  The four operations check it and raise
-    ``HomogeneityError`` naming k and the degree found.  They pack each
-    input component once into integer keys (``_PackedLayout``), run their
-    recurrence on those keys and unpack each output component once.
+    The series operations are the recurrences ``*``, ``/`` (``inverse``
+    is 1/self), ``exp_scaled`` and ``log_scaled``; ``exp`` and ``log``
+    are their thin scalings (see the module docstring).  Precondition of
+    all of them: every term of component k has degree k.  They check it
+    and raise ``HomogeneityError`` naming k and the degree found.  They
+    pack each input component once into integer keys (``_PackedLayout``),
+    run their recurrence on those keys and unpack each output component
+    once.
     """
 
     __slots__ = ("comps",)
@@ -520,48 +553,69 @@ class TruncatedSeries:
     def scale(self, scalar):
         return TruncatedSeries([c * scalar for c in self.comps])
 
+    def _run(self, recurrence, *others):
+        """Pack self and ``others`` on one layout, run ``recurrence`` on the
+        packed series and unpack its result."""
+        operands = (self,) + others
+        layout = _PackedLayout(operands, self.bound)
+        return layout.series(recurrence(*[layout.pack(s) for s in operands]))
+
     def __mul__(self, other):
         """Cauchy product.
 
         All the pairs of components of degree k are convolved into one
         accumulator, whose nonzero sums are made canonical once, as in
-        ``inverse``.
+        ``/``.
         """
         self._check(other)
-        layout = _PackedLayout((self, other), self.bound)
-        return layout.series(_series_mul(layout.pack(self), layout.pack(other)))
+        return self._run(_series_mul, other)
+
+    def __truediv__(self, other):
+        """Quotient self / other in one pass; requires ``other`` to have constant term 1."""
+        self._check(other)
+        if other.comps[0] != GradedPolynomial.one():
+            raise ConstantTermError("series division needs a divisor with constant term 1")
+        return self._run(_series_div, other)
 
     def inverse(self):
-        """Multiplicative inverse; requires constant term 1."""
+        """Multiplicative inverse 1 / self; requires constant term 1."""
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series inverse needs constant term 1")
-        layout = _PackedLayout((self,), self.bound)
-        return layout.series(_series_inverse(layout.pack(self)))
+        return TruncatedSeries.one(self.bound)._run(_series_div, self)
 
-    def exp(self):
-        """Exponential; requires zero constant term.
+    def exp_scaled(self):
+        """exp(sum_k s_k / k), s_k component k of self; requires zero constant term.
 
-        k out_k = sum_j (j a_j) out_{k-j}: the j a_j are formed once, the
-        sum is taken in the coefficients' own type and each coefficient
-        is divided exactly by k.
+        ``exp(a)`` is ``exp_scaled`` of the components k a_k.  With
+        integral s_k no coefficient is a fraction until the recurrence's
+        own exact division by k.
         """
         if self.comps[0].terms:
             raise ConstantTermError("series exp needs zero constant term")
-        layout = _PackedLayout((self,), self.bound)
-        return layout.series(_series_exp(layout.pack(self)))
+        return self._run(_series_exp_scaled)
 
-    def log(self):
-        """Logarithm; requires constant term 1.
+    def exp(self):
+        """Exponential; requires zero constant term."""
+        if self.comps[0].terms:
+            raise ConstantTermError("series exp needs zero constant term")
+        return self._run(_series_exp)
 
-        k out_k = k a_k - sum_{0<j<k} (j out_j) a_{k-j}.  The step sums
-        -k out_k = -k a_k + sum_{0<j<k} (j out_j) a_{k-j}, so that every
-        product is added, and divides each coefficient exactly by -k as
-        in ``exp``.
+    def log_scaled(self):
+        """Component k is k times that of log(self): t a'/a, for a = self.
+
+        Requires constant term 1; integral coefficients give integral
+        results (Newton's identities).
         """
         if self.comps[0] != GradedPolynomial.one():
             raise ConstantTermError("series log needs constant term 1")
-        layout = _PackedLayout((self,), self.bound)
-        return layout.series(_series_log(layout.pack(self)))
+        return self._run(_series_log_scaled)
+
+    def log(self):
+        """Logarithm; requires constant term 1.  Component k is that of
+        ``log_scaled`` divided exactly by k."""
+        if self.comps[0] != GradedPolynomial.one():
+            raise ConstantTermError("series log needs constant term 1")
+        return self._run(_series_log)
 
     def __repr__(self):
         return "TruncatedSeries(bound=%d, %s)" % (
@@ -575,9 +629,9 @@ class PowerSeries1:
 
     Used for characteristic series, formal-group logarithms and the
     Gamma-function exponential.  Coefficient index = power of x.
-    ``*``, ``inverse``, ``exp`` and ``log`` run the recurrences of
-    ``TruncatedSeries`` (``_series_mul`` etc.), written once for both
-    classes, with x^k packed as the key k.
+    ``*``, ``inverse`` (1/self), ``exp``, ``log_scaled`` and ``log`` run
+    the recurrences of ``TruncatedSeries`` (``_series_mul`` etc.),
+    written once for both classes, with x^k packed as the key k.
     """
 
     __slots__ = ("coeffs",)
@@ -636,24 +690,35 @@ class PowerSeries1:
     def _from_packed(cls, packed):
         return cls([t.get(k, 0) for k, t in enumerate(packed)])
 
+    def _run(self, recurrence, *others):
+        """Run ``recurrence`` on self and ``others`` packed, x^k as the key k."""
+        packed = [self._packed()] + [o._packed() for o in others]
+        return PowerSeries1._from_packed(recurrence(*packed))
+
     def __mul__(self, other):
         self._check(other)
-        return PowerSeries1._from_packed(_series_mul(self._packed(), other._packed()))
+        return self._run(_series_mul, other)
 
     def inverse(self):
         if self.coeffs[0] != 1:
             raise ConstantTermError("series inverse needs constant term 1")
-        return PowerSeries1._from_packed(_series_inverse(self._packed()))
+        return PowerSeries1.one(self.bound)._run(_series_div, self)
 
     def exp(self):
         if self.coeffs[0] != 0:
             raise ConstantTermError("series exp needs zero constant term")
-        return PowerSeries1._from_packed(_series_exp(self._packed()))
+        return self._run(_series_exp)
+
+    def log_scaled(self):
+        """[k * (log self)_k]: integral for integral coefficients."""
+        if self.coeffs[0] != 1:
+            raise ConstantTermError("series log needs constant term 1")
+        return self._run(_series_log_scaled)
 
     def log(self):
         if self.coeffs[0] != 1:
             raise ConstantTermError("series log needs constant term 1")
-        return PowerSeries1._from_packed(_series_log(self._packed()))
+        return self._run(_series_log)
 
     def compose(self, inner):
         """self(inner(x)); inner must have zero constant term."""

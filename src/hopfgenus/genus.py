@@ -243,10 +243,15 @@ def _chern_series(model, conjugate=False):
 
 
 def _newton_classes(model, conjugate=False):
-    """[N_1(tau), ..., N_n(tau)], n = dim_c, from log c(tau)."""
-    log_c = _chern_series(model, conjugate).log()
+    """[N_1(tau), ..., N_n(tau)], n = dim_c, from t c'(t)/c(t).
+
+    N_k = (-1)^(k-1) k [weight k] log c(tau), and ``log_scaled`` carries
+    the real degree: its component 2k is 2k times that of log c, so each
+    N_k is that component divided exactly by (-1)^(k-1) 2.
+    """
+    scaled = _chern_series(model, conjugate).log_scaled()
     n = model.dim_c
-    return [model.reduce(log_c.comps[2 * k] * ((-1) ** (k - 1) * k)) for k in range(1, n + 1)]
+    return [model.reduce(scaled.comps[2 * k] / ((-1) ** (k - 1) * 2)) for k in range(1, n + 1)]
 
 
 def _ch_from_newton(newton, k):
@@ -488,7 +493,7 @@ def morphism_module_series(model, bound):
 
 def _d_class_images(model):
     """Odd d-classes d_j(tau), j <= dim_c, of d = c(conjugate tau) / c(tau)."""
-    d = _chern_series(model, conjugate=True) * _chern_series(model).inverse()
+    d = _chern_series(model, conjugate=True) / _chern_series(model)
     return {j: model.reduce(d.comps[2 * j]) for j in range(1, model.dim_c + 1, 2)}
 
 

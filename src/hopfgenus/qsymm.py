@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .core import GradedPolynomial, InvariantError, LinearCombination, add_into
+from .core import GradedPolynomial, InvariantError, LinearCombination, PowerSeries1, add_into
 from .rational import canonical
 from . import symm
 
@@ -174,6 +174,10 @@ class GeneratorProfile:
         if self.explicit is not None:
             if not self.explicit or any(w < 1 for w in self.explicit):
                 raise ValueError("explicit profile must be nonempty positive")
+            # one letter per weight: the Lyndon words tell letters apart by weight
+            repeated = [w for w in self.explicit if self.explicit.count(w) > 1]
+            if repeated:
+                raise ValueError("explicit profile repeats weight %d" % repeated[0])
         elif self.start < 1 or self.step < 1:
             raise ValueError("profile weights must be positive")
 
@@ -278,7 +282,7 @@ def free_algebra_hilbert(profile, bound, flavor="associative"):
         lie = [0] * (bound + 1)
         for n in range(1, bound + 1):
             s = sum(d * lie[d] for d in range(1, n) if n % d == 0)
-            val = logA[n] * n - s
+            val = logA[n] - s
             if val != int(val) or int(val) % n:
                 raise InvariantError(
                     "free Lie dimension in degree %d is not an integer: %s / %d"
@@ -297,11 +301,9 @@ def free_algebra_hilbert(profile, bound, flavor="associative"):
 
 
 def _log_int_series(coeffs, bound):
-    """Rational log of an integer series with constant term 1."""
-    from .core import PowerSeries1
-
-    s = PowerSeries1(coeffs[: bound + 1])
-    return s.log().coeffs
+    """n [t^n] log A, n = 0..bound, for an integer series A with constant
+    term 1: the integers of t A'(t) / A(t)."""
+    return PowerSeries1(coeffs[: bound + 1]).log_scaled().coeffs
 
 
 def word_series(letters, bound):

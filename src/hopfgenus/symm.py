@@ -134,19 +134,22 @@ def _gen_table(src, tgt, D):
 
     Each table is one series operation on the relations
     E(t) = exp(sum (-1)^(k-1) p_k t^k / k), H(t) = exp(sum p_k t^k / k)
-    and E(-t) H(t) = 1 (Macdonald, Symmetric Functions, I.2).
+    and E(-t) H(t) = 1 (Macdonald, Symmetric Functions, I.2).  The
+    Newton classes are integral: t E'(t)/E(t) = sum (-1)^(k-1) p_k t^k
+    and t H'(t)/H(t) = sum p_k t^k, so P -> E/H reads p_k off
+    ``log_scaled`` and E/H -> P feeds the integers +-p_k to
+    ``exp_scaled``; neither forms a fraction that it multiplies back.
     """
     if src in (E, H) and tgt == P:
         sign = -1 if src == E else 1
         arg = [GradedPolynomial.zero()] + [
-            GradedPolynomial.generator("N", k, coeff=divide(sign ** (k - 1), k))
-            for k in range(1, D + 1)
+            GradedPolynomial.generator("N", k, coeff=sign ** (k - 1)) for k in range(1, D + 1)
         ]
-        return tuple(TruncatedSeries(arg).exp().comps[1:])
+        return tuple(TruncatedSeries(arg).exp_scaled().comps[1:])
     if src == P and tgt in (E, H):
         sign = -1 if tgt == E else 1
-        log = _generating_series(FAMILY[tgt], D).log()
-        return tuple(c * (sign ** (k - 1) * k) for k, c in enumerate(log.comps[1:], 1))
+        scaled = _generating_series(FAMILY[tgt], D).log_scaled()
+        return tuple(c * sign ** (k - 1) for k, c in enumerate(scaled.comps[1:], 1))
     if (src, tgt) in ((E, H), (H, E)):
         # e_k = (-1)^k [t^k] 1/H(t) and h_k = (-1)^k [t^k] 1/E(t)
         inv = _generating_series(FAMILY[tgt], D).inverse()
@@ -276,20 +279,19 @@ def d_classes(D):
     for k in range(1, D + 1):
         num.append(GradedPolynomial.generator("c", k, coeff=(-1) ** k))
         den.append(GradedPolynomial.generator("c", k))
-    return TruncatedSeries(num) * TruncatedSeries(den).inverse()
+    return TruncatedSeries(num) / TruncatedSeries(den)
 
 
 def d_classes_exp_form(D):
     """The exp-product form prod exp(-2 N_{2i+1}/(2i+1)), converted to c.
 
-    Conversion is a ring homomorphism, so the linear argument is
-    converted and the exponential taken in the c basis.
+    Conversion is a ring homomorphism and keeps weights, so the integral
+    argument sum -2 N_k over odd k is converted and ``exp_scaled``, which
+    divides component k by k, takes the exponential in the c basis.
     """
-    arg = GradedPolynomial(
-        {((gen_id("N", k), 1),): divide(-2, k) for k in range(1, D + 1, 2)}
-    )
+    arg = GradedPolynomial({((gen_id("N", k), 1),): -2 for k in range(1, D + 1, 2)})
     in_e = _convert_multiplicative(arg, P, E)
-    return TruncatedSeries.from_polynomial(in_e, D).exp()
+    return TruncatedSeries.from_polynomial(in_e, D).exp_scaled()
 
 
 def a_classes(D):

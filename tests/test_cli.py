@@ -96,6 +96,18 @@ class TestQsymmCommand:
     def test_negative_bound(self, capsys):
         assert_flag_rejected(["qsymm", "hilbert", "--bound", "-3"], "--bound", capsys)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qsymm", "hilbert", "--flavor", "lie", "--profile", "set:2,2", "--bound", "6"],
+            ["qsymm", "lyndon", "--profile", "set:2,2", "--bound", "4"],
+        ],
+    )
+    def test_repeated_profile_weight(self, argv, capsys):
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "message": "explicit profile repeats weight 2"}
+
 
 class TestMzvCommand:
     def test_eval(self, capsys):
@@ -147,6 +159,10 @@ class TestTorCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "s,t,total,dim"
         assert "1,5,6,1" in lines
+
+    @pytest.mark.parametrize("extra", [[], ["--degree", "10"]])
+    def test_negative_bound(self, extra, capsys):
+        assert_flag_rejected(["tor", "--algebra", "exterior:5", "--bound", "-3"] + extra, "--bound", capsys)
 
     def test_bound_guard(self, capsys):
         code, out = run(["tor", "--algebra", "exterior:5", "--bound", "40", "--degree", "30"], capsys)

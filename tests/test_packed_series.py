@@ -6,7 +6,10 @@ recurrences it ran before on sorted ``(gid, e)`` tuples through
 ``mul_terms``; on seeded random homogeneous series both must give equal
 term dicts with equal coefficient types.  The boundary cases put an
 exponent of every generator at the top of its bit field, where a field
-one bit too narrow would carry into its neighbour.
+one bit too narrow would carry into its neighbour.  ``/``,
+``exp_scaled`` and ``log_scaled`` are checked against ``*``, ``inverse``,
+``exp`` and ``log``: (a/b) b = a, exp_scaled(log_scaled(a)) = a and
+log_scaled = k log, term for term.
 """
 
 import math
@@ -17,6 +20,8 @@ import pytest
 
 from hopfgenus._kernels import monomial_degree, mul_terms
 from hopfgenus.core import (
+    BoundMismatchError,
+    ConstantTermError,
     GradedPolynomial,
     HomogeneityError,
     PowerSeries1,
@@ -180,6 +185,85 @@ class TestAgainstTupleRecurrences:
         _check("log", _random_series(rng, rng.randint(3, 8), kind, 1))
 
 
+# ---------------------------------------------------------------------------
+# the one-pass recurrences: a/b, exp_scaled and log_scaled
+
+
+def _typed_series(series):
+    return [_typed(c.terms) for c in series.comps]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+@pytest.mark.parametrize("seed", range(6))
+class TestOnePassRecurrences:
+    def test_quotient_times_divisor(self, seed, kind):
+        rng = random.Random(seed)
+        D = rng.randint(3, 8)
+        a = _random_series(rng, D, kind, _random_coeff(rng, kind))
+        b = _random_series(rng, D, kind, 1)
+        q = a / b
+        _assert_canonical_keys(q)
+        assert _typed_series(q * b) == _typed_series(a)
+        assert _typed_series(q) == _typed_series(a * b.inverse())
+
+    def test_exp_scaled_inverts_log_scaled(self, seed, kind):
+        rng = random.Random(seed)
+        a = _random_series(rng, rng.randint(3, 8), kind, 1)
+        assert _typed_series(a.log_scaled().exp_scaled()) == _typed_series(a)
+
+    def test_log_scaled_is_k_times_log(self, seed, kind):
+        # term for term: the same keys in the same order, values and types
+        rng = random.Random(seed)
+        a = _random_series(rng, rng.randint(3, 8), kind, 1)
+        got = a.log_scaled()
+        _assert_canonical_keys(got)
+        want = [c * k for k, c in enumerate(a.log().comps)]
+        assert [list(g.terms.items()) for g in got.comps] == [list(w.terms.items()) for w in want]
+        assert _typed_series(got) == [_typed(w.terms) for w in want]
+
+    def test_exp_scaled_is_exp_of_the_fractions(self, seed, kind):
+        rng = random.Random(seed)
+        s = _random_series(rng, rng.randint(3, 8), kind, 0)
+        arg = TruncatedSeries([c / k if k else c for k, c in enumerate(s.comps)])
+        assert _typed_series(s.exp_scaled()) == _typed_series(arg.exp())
+
+    def test_power_series_log_scaled(self, seed, kind):
+        rng = random.Random(seed)
+        b = PowerSeries1(_random_coeffs(rng, rng.randint(0, 12), kind, 1))
+        assert _typed_list(b.log_scaled().coeffs) == _typed_list(
+            [canonical(c * k) for k, c in enumerate(b.log().coeffs)]
+        )
+
+
+def test_integral_log_scaled_stays_integral():
+    # t E'(t)/E(t) of E(t) = 1 + c1 t + ... + c6 t^6: the Newton classes,
+    # every coefficient an int, where log itself has fractions
+    gens = [GradedPolynomial.generator("c", k) for k in range(1, 7)]
+    e = TruncatedSeries([GradedPolynomial.one()] + gens)
+    assert any(type(c) is Fraction for p in e.log().comps for c in p.terms.values())
+    assert all(type(c) is int for p in e.log_scaled().comps for c in p.terms.values())
+
+
+class TestDivisionPreconditions:
+    def test_divisor_constant_term(self):
+        c1 = GradedPolynomial.generator("c", 1)
+        a = TruncatedSeries([GradedPolynomial.one(), c1])
+        with pytest.raises(ConstantTermError, match="divisor with constant term 1"):
+            a / TruncatedSeries([GradedPolynomial.constant(2), c1])
+
+    def test_bounds(self):
+        with pytest.raises(BoundMismatchError):
+            TruncatedSeries.one(3) / TruncatedSeries.one(4)
+
+    def test_scaled_constant_terms(self):
+        with pytest.raises(ConstantTermError):
+            TruncatedSeries.one(3).exp_scaled()
+        with pytest.raises(ConstantTermError):
+            TruncatedSeries.zero(3).log_scaled()
+        with pytest.raises(ConstantTermError):
+            PowerSeries1.zero(3).log_scaled()
+
+
 def test_mul_cancellation_is_canonical_in_both_orders():
     # [c1^3] of a * b adds -1, Fraction(1) and 5, in an order that
     # depends on the operand order; either way the coefficient is int 5
@@ -248,14 +332,17 @@ class TestHomogeneity:
             [GradedPolynomial.one(), GradedPolynomial.zero(), GradedPolynomial.generator("c", 1)]
         )
 
-    @pytest.mark.parametrize("op", ["mul", "rmul", "inverse", "log"])
+    @pytest.mark.parametrize("op", ["mul", "rmul", "div", "rdiv", "inverse", "log", "log_scaled"])
     def test_named_error(self, op):
         bad = self._bad()
         call = {
             "mul": lambda: bad * TruncatedSeries.one(2),
             "rmul": lambda: TruncatedSeries.one(2) * bad,
+            "div": lambda: bad / TruncatedSeries.one(2),
+            "rdiv": lambda: TruncatedSeries.one(2) / bad,
             "inverse": bad.inverse,
             "log": bad.log,
+            "log_scaled": bad.log_scaled,
         }[op]
         with pytest.raises(HomogeneityError, match=r"component 2 has a term of degree 1"):
             call()
@@ -264,6 +351,11 @@ class TestHomogeneity:
         bad = TruncatedSeries([GradedPolynomial.zero(), GradedPolynomial.generator("c", 3)])
         with pytest.raises(HomogeneityError, match=r"component 1 has a term of degree 3"):
             bad.exp()
+
+    def test_exp_scaled(self):
+        bad = TruncatedSeries([GradedPolynomial.zero(), GradedPolynomial.generator("c", 3)])
+        with pytest.raises(HomogeneityError, match=r"component 1 has a term of degree 3"):
+            bad.exp_scaled()
 
     def test_is_a_value_error(self):
         with pytest.raises(ValueError):

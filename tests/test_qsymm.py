@@ -224,6 +224,14 @@ class TestHilbert:
         with pytest.raises(ValueError):
             GeneratorProfile.from_text("junk")
 
+    @pytest.mark.parametrize("text,weight", [("set:2,2", 2), ("set:3,5,3", 3)])
+    def test_repeated_weight_is_rejected(self, text, weight):
+        # letters are told apart by weight alone, so a set names each once
+        with pytest.raises(ValueError, match="repeats weight %d$" % weight):
+            GeneratorProfile.from_text(text)
+        with pytest.raises(ValueError, match="repeats weight %d$" % weight):
+            GeneratorProfile(explicit=tuple(int(w) for w in text[4:].split(",")))
+
     @pytest.mark.parametrize("text", ["arith:1", "arith:1:2:3", "odd:x", "set:", "set:3,,5", "set:a"])
     def test_malformed_profile_names_the_text(self, text):
         with pytest.raises(ValueError) as info:

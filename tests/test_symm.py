@@ -16,6 +16,7 @@ from hopfgenus.core import (
 from hopfgenus.qsymm import polynomial_hilbert
 from hopfgenus.rational import Q, divide
 
+import former_series
 from gauss_jordan import nullspace, rref
 
 
@@ -190,6 +191,129 @@ class TestGeneratingFunctions:
         a = symm.a_classes(12)
         for k in range(2, 13, 2):
             assert a.comps[k].coefficient(((gen_id("b", k), 1),)) == 2, k
+
+
+# ---------------------------------------------------------------------------
+# the one-pass recurrences against the former paths
+#
+# The _former_* functions are the d-class and table code as it ran before
+# ``/``, ``exp_scaled`` and ``log_scaled``: an inverse and then ``*``, a
+# rational log multiplied back by k, and an exp of the fractions s_k / k,
+# on the frozen recurrences of ``former_series``.
+
+
+def _former_gen_table(src, tgt, D):
+    if src in (symm.E, symm.H) and tgt == symm.P:
+        sign = -1 if src == symm.E else 1
+        arg = [GradedPolynomial.zero()] + [
+            GradedPolynomial.generator("N", k, coeff=divide(sign ** (k - 1), k))
+            for k in range(1, D + 1)
+        ]
+        return tuple(former_series.exp(TruncatedSeries(arg)).comps[1:])
+    if src == symm.P and tgt in (symm.E, symm.H):
+        sign = -1 if tgt == symm.E else 1
+        log = former_series.log(symm._generating_series(symm.FAMILY[tgt], D))
+        return tuple(c * (sign ** (k - 1) * k) for k, c in enumerate(log.comps[1:], 1))
+    inv = former_series.inverse(symm._generating_series(symm.FAMILY[tgt], D))
+    return tuple(c * (-1) ** k for k, c in enumerate(inv.comps[1:], 1))
+
+
+def _former_d_classes(D):
+    num = [GradedPolynomial.one()]
+    den = [GradedPolynomial.one()]
+    for k in range(1, D + 1):
+        num.append(GradedPolynomial.generator("c", k, coeff=(-1) ** k))
+        den.append(GradedPolynomial.generator("c", k))
+    return TruncatedSeries(num) * former_series.inverse(TruncatedSeries(den))
+
+
+def _former_d_classes_exp_form(D):
+    arg = GradedPolynomial(
+        {((gen_id("N", k), 1),): divide(-2, k) for k in range(1, D + 1, 2)}
+    )
+    table = _former_gen_table(symm.P, symm.E, D)
+    in_e = arg.substitute({gen_id("N", k): img for k, img in enumerate(table, 1)})
+    return former_series.exp(TruncatedSeries.from_polynomial(in_e, D))
+
+
+def _typed_terms(poly):
+    return {m: (c, type(c)) for m, c in poly.terms.items()}
+
+
+def _typed_series(series):
+    return [_typed_terms(c) for c in series.comps]
+
+
+def _ordered(poly):
+    return [(m, c, type(c)) for m, c in poly.terms.items()]
+
+
+_DIRECTIONS = [
+    (symm.E, symm.P),
+    (symm.H, symm.P),
+    (symm.P, symm.E),
+    (symm.P, symm.H),
+    (symm.E, symm.H),
+    (symm.H, symm.E),
+]
+
+
+class TestAgainstFormerPaths:
+    def test_d_classes(self):
+        for D in range(25):
+            assert _typed_series(symm.d_classes(D)) == _typed_series(_former_d_classes(D)), D
+
+    def test_d_classes_exp_form(self):
+        for D in range(25):
+            got = symm.d_classes_exp_form(D)
+            assert _typed_series(got) == _typed_series(_former_d_classes_exp_form(D)), D
+
+    @pytest.mark.parametrize("src,tgt", _DIRECTIONS)
+    def test_gen_table_with_term_order(self, src, tgt):
+        for D in range(1, 15):
+            got = symm._gen_table.__wrapped__(src, tgt, D)
+            want = _former_gen_table(src, tgt, D)
+            assert [_ordered(p) for p in got] == [_ordered(p) for p in want], D
+
+    @pytest.mark.parametrize(
+        "basis,closed_forms",
+        [
+            (
+                symm.E,
+                [
+                    "c[1]",
+                    "c[1]^2 - 2*c[2]",
+                    "c[1]^3 - 3*c[1]*c[2] + 3*c[3]",
+                    "c[1]^4 - 4*c[1]^2*c[2] + 2*c[2]^2 + 4*c[1]*c[3] - 4*c[4]",
+                ],
+            ),
+            (
+                symm.H,
+                [
+                    "h[1]",
+                    "2*h[2] - h[1]^2",
+                    "3*h[3] - 3*h[1]*h[2] + h[1]^3",
+                    "4*h[4] - 4*h[1]*h[3] - 2*h[2]^2 + 4*h[1]^2*h[2] - h[1]^4",
+                ],
+            ),
+        ],
+    )
+    def test_newton_classes_closed_forms(self, basis, closed_forms):
+        table = symm._gen_table.__wrapped__(symm.P, basis, 4)
+        for k, (got, text) in enumerate(zip(table, closed_forms), 1):
+            want = parse_polynomial(text)
+            assert _typed_terms(got) == _typed_terms(want), k
+            assert all(type(c) is int for c in got.terms.values()), k
+
+    def test_d_classes_neither_inverts_nor_multiplies(self, monkeypatch):
+        want = symm.d_classes(9)
+
+        def forbidden(*args):
+            raise AssertionError("d_classes called a series inverse or product")
+
+        monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", forbidden)
+        assert symm.d_classes(9) == want
 
 
 def _primitive_combinations(mons, defects):
@@ -383,7 +507,9 @@ class TestNoAliasing:
 
         log = series.log()
         log.exp()
+        series.log_scaled().exp_scaled()
         series.inverse()
+        series / series
         series * series
         series.polynomial()
         images = {gen_id("c", k): series.comps[k] for k in range(1, 7)}
