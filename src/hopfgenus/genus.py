@@ -8,6 +8,8 @@ series Q is exp(sum_m l_m N_m(tau)) with l = log Q, taken in the model's
 cohomology ring, and the Newton classes are read off one series
 logarithm, log c(tau) = sum_k (-1)^(k-1) N_k(tau) / k (Newton's identities).
 
+Both exponentials are ``core``'s one series ``exp``, reduced once (``_ring_exp``).
+
 The deformation torsor multiplies the multiplicative class by
 exp(sum_k t_k ch_k(tau)), k odd, ch_k = N_k / k!; parameters add, so the
 action is a group law on the nose.  The coaction model pairs cohomology
@@ -328,7 +330,7 @@ def multiplicative_class(model, q_series):
     arg = {}
     for m, nm in enumerate(_newton_classes(model), 1):
         add_into(arg, (nm * l[m]).terms)
-    return _ring_exp(model, GradedPolynomial(arg), None)
+    return _ring_exp(model, GradedPolynomial(arg))
 
 
 def genus(model, q_series):
@@ -420,37 +422,27 @@ def _numeric_kind(values):
 
 
 def deformation_exponential(model, params, include_ch1=True):
-    """exp(sum_k t_k ch_k(tau)), a unit in the cohomology ring."""
-    entries = [
-        (k, v) for k, v in params.entries if include_ch1 or k != 1
-    ]
-    kind = _numeric_kind([v for _, v in entries])
+    """exp(sum_k t_k ch_k(tau)), a unit in the cohomology ring; its constant term is the int 1.
+
+    Each term ch_k * t_k has t_k's kind (N_k * (t_k / k!) measured less accurate).
+    """
     newton = _newton_classes(model)
     arg = {}
-    for k, v in entries:
-        ch = _ch_from_newton(newton, k)
-        if kind is not None:
-            ch = ch.map_coefficients(kind)
-        add_into(arg, (ch * v).terms)
-    return _ring_exp(model, GradedPolynomial(arg), kind)
+    for k, v in params.entries:
+        if include_ch1 or k != 1:
+            add_into(arg, (_ch_from_newton(newton, k) * v).terms)
+    return _ring_exp(model, GradedPolynomial(arg))
 
 
-def _ring_exp(model, arg, kind):
+def _ring_exp(model, arg):
     """exp(arg) in the model's cohomology, arg without constant term.
 
-    The ring vanishes above real degree 2*dim_c, so the powers of arg
-    stop at arg^dim_c.  ``kind`` is the coefficient type (None = exact).
+    The series exp up to real degree 2*dim_c, where the ring vanishes; the
+    nilpotency relations span a monomial ideal, so one ``reduce`` at the end is exact.
     """
-    power = GradedPolynomial.one()
-    if kind is not None:
-        power = power.map_coefficients(kind)
-    out = dict(power.terms)
-    for m in range(1, model.dim_c + 1):
-        power = model.reduce(power * arg) * (
-            Q(1, m) if kind is None else 1.0 / m
-        )
-        add_into(out, power.terms)
-    return GradedPolynomial(out)
+    series = TruncatedSeries.from_polynomial(arg, 2 * model.dim_c).exp()
+    # the components have disjoint degrees, so their terms merge without sums
+    return model.reduce(GradedPolynomial({m: c for t in series.comps for m, c in t.terms.items()}))
 
 
 def deform_genus(model, q_series, params, include_ch1=True):
@@ -460,7 +452,8 @@ def deform_genus(model, q_series, params, include_ch1=True):
     kclass = multiplicative_class(model, q_series)
     if kind is not None:
         kclass = kclass.map_coefficients(kind)
-    return model.pairing(model.reduce(expo * kclass))
+    # the pairing reads only the volume monomial, which reduce never drops
+    return model.pairing(expo * kclass)
 
 
 @dataclass(frozen=True)
@@ -521,15 +514,15 @@ def coaction(model, cls, bound):
     """
     dvals = _d_class_images(model)
     out = {(): cls}
-    for alpha in _alpha_partitions(bound, dvals):
-        if not alpha:
-            continue
-        acc = cls
-        for j, m in alpha:
-            for _ in range(m):
-                acc = model.reduce(acc * dvals[j])
-        if acc.terms:
-            out[alpha] = acc
+    # alpha extends its parent, alpha less one d_j of its largest j, which
+    # comes earlier; tags above 2*dim_c vanish in the ring, so alpha stops there.
+    for alpha in _alpha_partitions(min(bound, 2 * model.dim_c), dvals)[1:]:
+        j, m = alpha[-1]
+        parent = out.get(alpha[:-1] + (((j, m - 1),) if m > 1 else ()))
+        if parent is not None:
+            comp = model.reduce(parent * dvals[j])
+            if comp.terms:
+                out[alpha] = comp
     return out
 
 

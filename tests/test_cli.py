@@ -350,6 +350,23 @@ class TestCoactionCommand:
         assert code == 0
         assert json.loads(out)["components"]["1"] == "y[1]"
 
+    def test_bound_past_the_ring(self, capsys, monkeypatch):
+        # components above real degree 2*dim_c = 12 are zero and never
+        # enumerated: a partition of weight past 6 fails at once
+        partitions = symm.partitions
+
+        def spy(w, top):
+            if w > 6:
+                raise AssertionError("partitions of weight %d requested" % w)
+            return partitions(w, top)
+
+        monkeypatch.setattr(symm, "partitions", spy)
+        argv = ["coaction", "--manifold", "CP6", "--class", "1", "--bound"]
+        code, out = run(argv + ["100000"], capsys)
+        assert code == 0
+        near = json.loads(run(argv + ["12"], capsys)[1])
+        assert list(json.loads(out)["components"].items()) == list(near["components"].items())
+
     def test_negative_bound(self, capsys):
         argv = ["coaction", "--manifold", "CP1", "--class", "1", "--bound", "-4"]
         assert_flag_rejected(argv, "--bound", capsys)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import former_genus
+from hopfgenus import core, symm
 from hopfgenus import genus as G
-from hopfgenus import symm
 from hopfgenus.core import (
     GradedPolynomial,
     ParseError,
@@ -315,6 +316,138 @@ class TestAgainstPSeriesPath:
             ref = exact if kind is None else exact.map_coefficients(kind)
             expo = G.deformation_exponential(m, params)
             assert G.deform_genus(m, q, params) == m.pairing(m.reduce(expo * ref)), t
+
+
+_FORMER_MODELS = _REFERENCE_MODELS + ["CP1xCP1xCP1xCP1", "CP2xCP2xCP2", "my_manifold.json"]
+
+_EXACT_T = ({1: Q(1, 3)}, {1: Q(-1, 2), 3: 2}, {3: Q(5, 7), 5: -3})
+
+
+class TestAgainstFormerPath:
+    """The series ``exp`` reduced once, and each coaction component built
+    from its parent, against the former power loop and per-alpha products
+    (``tests/former_genus.py``), in values and coefficient types."""
+
+    @pytest.mark.parametrize("name", _FORMER_MODELS)
+    def test_classes_and_deformations(self, name):
+        m = _reference_model(name)
+        for series in (G.a_hat_series, G.todd_series):
+            q = series(m.dim_c + 1)
+            assert _typed(G.multiplicative_class(m, q)) == _typed(
+                former_genus.multiplicative_class(m, q)
+            )
+            for t in _EXACT_T:
+                params = G.DeformationParameters.from_dict(t)
+                for include in (True, False):
+                    assert _typed(G.deformation_exponential(m, params, include)) == _typed(
+                        former_genus.deformation_exponential(m, params, include)
+                    ), (t, include)
+                    got = G.deform_genus(m, q, params, include)
+                    want = former_genus.deform_genus(m, q, params, include)
+                    assert (type(got), got) == (type(want), want), (t, include)
+
+    @pytest.mark.parametrize("name", _FORMER_MODELS)
+    def test_coaction(self, name):
+        m = _reference_model(name)
+        x = GradedPolynomial({((g, 1),): 1 for _, g, _, _ in m.generators})
+        for cls in (GradedPolynomial.one(), x, G.chern_character(m, 1) + Q(1, 2)):
+            for bound in range(2 * m.dim_c + 5):
+                got = G.coaction(m, cls, bound)
+                want = former_genus.coaction(m, cls, bound)
+                assert [(a, _typed(p)) for a, p in got.items()] == [
+                    (a, _typed(p)) for a, p in want.items()
+                ], bound
+
+    def test_multiplicative_class_runs_no_polynomial_product(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("mul_terms called")
+
+        m = G.catalog_model("CP2xCP3")
+        q = G.a_hat_series(m.dim_c + 1)
+        want = G.multiplicative_class(m, q)
+        monkeypatch.setattr(core, "mul_terms", refuse)
+        assert G.multiplicative_class(m, q) == want
+        with pytest.raises(AssertionError):
+            want * want
+
+
+class TestCoactionStopsAtTheRing:
+    @pytest.fixture
+    def weights(self, monkeypatch):
+        """Weights asked of ``symm.partitions``; one past 6 = dim CP6 fails
+        at once rather than enumerating up to the bound."""
+        asked = []
+        partitions = symm.partitions
+
+        def spy(w, top):
+            if w > 6:
+                raise AssertionError("partitions of weight %d requested" % w)
+            asked.append(w)
+            return partitions(w, top)
+
+        monkeypatch.setattr(symm, "partitions", spy)
+        return asked
+
+    def test_far_bound_enumerates_no_weight_past_the_dimension(self, weights):
+        m = G.cp(6)
+        one = GradedPolynomial.one()
+        far = G.coaction(m, one, 10**4)
+        assert max(weights) == m.dim_c
+        near = G.coaction(m, one, 2 * m.dim_c)
+        assert list(far.items()) == list(near.items())
+        assert len(far) == 14
+
+    def test_coassociativity_at_a_far_bound(self, weights):
+        m = G.cp(6)
+        assert G.coassociativity_check(m, GradedPolynomial.one(), 10**4)
+        assert G.coassociativity_check(m, G.chern_character(m, 1), 10**4)
+
+
+class TestFloatDeformations:
+    def test_seeded_sweep_against_exact(self):
+        # t is a float, so Fraction(t) is the same dyadic value exactly;
+        # a value below 1 in size is held to 1e-12 absolute, since the
+        # sweep has values down to 2e-6 from cancellation
+        rng = random.Random(5)
+        names = ["CP%d" % n for n in range(1, 7)] + ["CP1xCP2", "CP2xCP3", "CP1xCP1xCP1"]
+        for trial in range(90):
+            m = G.catalog_model(names[trial % len(names)])
+            q = (G.todd_series, G.a_hat_series)[trial % 2](m.dim_c + 1)
+            t = {k: rng.uniform(-2, 2) for k in (1, 3, 5) if rng.random() < 0.8}
+            got = G.deform_genus(m, q, G.DeformationParameters.from_dict(t))
+            exact = G.deform_genus(
+                m, q, G.DeformationParameters.from_dict({k: Q(v) for k, v in t.items()})
+            )
+            # a pairing whose volume term cancels reads the int 0
+            assert isinstance(got, float) or (got == 0 and exact == 0), t
+            assert abs(got - exact) <= 1e-12 * max(abs(exact), 1), (m.name, t)
+
+    @pytest.mark.parametrize("name", ["CP1", "CP3", "CP1xCP2"])
+    def test_complex_against_former_path(self, name):
+        m = G.catalog_model(name)
+        q = G.todd_series(m.dim_c + 1)
+        for t in ({1: 0.3j}, {1: 0.25, 3: 0.7 + 0.1j}, {3: -1.5j}):
+            params = G.DeformationParameters.from_dict(t)
+            got = G.deform_genus(m, q, params)
+            assert isinstance(got, complex)
+            assert got == pytest.approx(former_genus.deform_genus(m, q, params), rel=1e-12)
+
+    def test_excluded_float_ch1_keeps_the_float_kind(self):
+        # t_1 is left out of the exponential, but its kind still makes
+        # the value a float
+        m = G.cp(3)
+        q = G.a_hat_series(m.dim_c + 1)
+        params = G.DeformationParameters.from_dict({1: 0.5, 3: Q(1, 3)})
+        got = G.deform_genus(m, q, params, include_ch1=False)
+        exact = G.deform_genus(m, q, G.DeformationParameters.from_dict({3: Q(1, 3)}))
+        assert type(got) is float and exact != G.genus(m, q)
+        assert got == pytest.approx(exact, rel=1e-15)
+
+    def test_exponential_constant_term_is_int_one(self, cp2):
+        for t in ({1: 0.5}, {1: 0.5j, 3: 2}, {3: Q(1, 3)}):
+            expo = G.deformation_exponential(cp2, G.DeformationParameters.from_dict(t))
+            const = expo.coefficient(())
+            assert (type(const), const) == (int, 1), t
 
 
 class TestGammaExponential:
