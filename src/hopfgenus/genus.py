@@ -452,8 +452,10 @@ def deform_genus(model, q_series, params, include_ch1=True):
     kclass = multiplicative_class(model, q_series)
     if kind is not None:
         kclass = kclass.map_coefficients(kind)
-    # the pairing reads only the volume monomial, which reduce never drops
-    return model.pairing(expo * kclass)
+    # the pairing reads only the volume monomial, which reduce never drops;
+    # an absent one is the int 0, so it takes t's kind too
+    value = model.pairing(expo * kclass)
+    return value if kind is None else kind(value)
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,11 @@ upper end of each factor is its lower end plus both counts.
 
 B and N are sized from the target, and escalate only if the certified
 radius misses it; the depth >= 2 terms of a QSymm element share one B and
-one N.  The exact interval becomes a CertifiedReal: the value
-is the float nearest its midpoint, the radius the distance to the
-farther end, rounded up and at least one ulp of the value.
+one N.  The sums stay exact intervals, a rational center and radius:
+the stuffle check compares their ends exactly, and each is rounded once,
+for output, into a CertifiedReal: the value is the float nearest its
+midpoint, the radius the distance to the farther end, rounded up and at
+least one ulp of the value.
 """
 
 import math
@@ -92,15 +94,10 @@ class PrecisionError(RuntimeError):
     depth 1, below the resolution of a float value at depth >= 2."""
 
 
-def _up(x):
-    """The next float above x, which bounds a rounded nonnegative sum or product."""
-    return math.nextafter(x, math.inf)
-
-
 def _float_up(q):
     """The least float >= the rational q."""
     f = float(q)
-    return f if Fraction(f) >= q else _up(f)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
 
 
 def _enclose(center, radius):
@@ -110,47 +107,16 @@ def _enclose(center, radius):
     return CertifiedReal(value, max(bound, math.ulp(value)))
 
 
-def _certified(x):
-    """x itself, or a CertifiedReal enclosing the number x."""
-    if isinstance(x, CertifiedReal):
-        return x
-    value = float(x)
-    return CertifiedReal(value, _float_up(abs(Fraction(value) - Fraction(x))))
-
-
 @dataclass(frozen=True)
 class CertifiedReal:
     """A float with a rigorous symmetric error enclosure.
 
-    Arithmetic rounds outward: the radius of a result adds one ulp of
-    the computed value for its rounding, and every float operation on
-    radii is rounded up.
+    The output record of an evaluation: sums and products are formed on
+    exact intervals before it, not on it.
     """
 
     value: float
     error_bound: float
-
-    def __add__(self, other):
-        other = _certified(other)
-        value = self.value + other.value
-        return CertifiedReal(value, _up(_up(self.error_bound + other.error_bound) + math.ulp(value)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _certified(other)
-        value = self.value - other.value
-        return CertifiedReal(value, _up(_up(self.error_bound + other.error_bound) + math.ulp(value)))
-
-    def __mul__(self, other):
-        other = _certified(other)
-        value = self.value * other.value
-        ea, eb = self.error_bound, other.error_bound
-        radius = _up(_up(abs(self.value) * eb) + _up(abs(other.value) * ea))
-        radius = _up(_up(radius + _up(ea * eb)) + math.ulp(value))
-        return CertifiedReal(value, radius)
-
-    __rmul__ = __mul__
 
     def contains(self, x):
         return abs(self.value - x) <= self.error_bound
@@ -322,8 +288,9 @@ def _nested_eval(words, target, center=0, radius=0):
 
     Every idx has depth >= 2; ``center`` and ``radius`` are exact and
     already enclose the rest of a sum.  All words share one B, one N and
-    the levels of their sweeps; the c*lo and c*hi ends are summed exactly
-    and rounded once.
+    the levels of their sweeps; the c*lo and c*hi ends are summed exactly.
+    Returns the exact (center, radius) and the CertifiedReal that rounds
+    it once, at the first B whose rounding meets the target.
     """
     slack = Fraction(target) - radius
     r = max(max(len(idx), sum(idx) - len(idx)) for idx, _ in words)  # the deepest suffix
@@ -344,9 +311,10 @@ def _nested_eval(words, target, center=0, radius=0):
             a, b = _holder_interval(idx, B, N, levels)
             lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
         half = Fraction(hi - lo, 1 << (2 * B + 1))
-        enc = _enclose(center + Fraction(lo + hi, 1 << (2 * B + 1)), radius + half)
+        exact = (center + Fraction(lo + hi, 1 << (2 * B + 1)), radius + half)
+        enc = _enclose(*exact)
         if enc.error_bound <= target:
-            return enc
+            return exact, enc
         if half <= slack / 4:
             what = words[0][0] if len(words) == 1 else "a sum of %d multizeta values" % len(words)
             raise PrecisionError(
@@ -373,7 +341,29 @@ def mzv_eval(idx, target_error=1e-8):
     _check_target(target_error)
     if len(idx) == 1:
         return _zeta_enclosure(idx[0], target_error)
-    return _nested_eval([(idx, 1)], target_error)
+    return _nested_eval([(idx, 1)], target_error)[1]
+
+
+def _specialize(q, target_error):
+    """The exact (center, radius) of zeta(q) and its rounding; see ``zeta_specialize``."""
+    bad = [a for a in q.terms if not is_admissible(a)]
+    if bad:
+        raise DivergentIndexError(sorted(bad))
+    _check_target(target_error)
+    terms = sorted(q.terms.items())
+    center = radius = Fraction(0)
+    words = []
+    for alpha, coeff in terms:
+        c = Fraction(coeff)
+        if len(alpha) > 1:
+            words.append((alpha, c))
+            continue
+        enclosure = mzv_eval(alpha, target_error / len(terms) / max(1.0, abs(float(c))))
+        center += c * Fraction(enclosure.value)
+        radius += abs(c) * Fraction(enclosure.error_bound)
+    if words:
+        return _nested_eval(words, target_error, center, radius)
+    return (center, radius), _enclose(center, radius) if terms else CertifiedReal(0.0, 0.0)
 
 
 def zeta_specialize(q, target_error=1e-8):
@@ -386,48 +376,34 @@ def zeta_specialize(q, target_error=1e-8):
     exact interval ends and the depth-1 enclosures, and the sum is
     rounded once, outward; B grows only if its radius misses the target.
     """
-    bad = [a for a in q.terms if not is_admissible(a)]
-    if bad:
-        raise DivergentIndexError(sorted(bad))
-    _check_target(target_error)
-    terms = sorted(q.terms.items())
-    if not terms:
-        return CertifiedReal(0.0, 0.0)
-    budget = target_error / len(terms)
-    center = radius = Fraction(0)
-    words = []
-    for alpha, coeff in terms:
-        c = Fraction(coeff)
-        if len(alpha) > 1:
-            words.append((alpha, c))
-            continue
-        enclosure = mzv_eval(alpha, budget / max(1.0, abs(float(c))))
-        center += c * Fraction(enclosure.value)
-        radius += abs(c) * Fraction(enclosure.error_bound)
-    if words:
-        return _nested_eval(words, target_error, center, radius)
-    return _enclose(center, radius)
+    return _specialize(q, target_error)[1]
 
 
-def homomorphism_check(a, b, tol=0.0, target_error=1e-6):
-    """Numerically verify zeta(a) zeta(b) = zeta(a * b) (stuffle).
+def homomorphism_check(a, b, target_error=1e-6):
+    """Verify zeta(a) zeta(b) = zeta(a * b) (stuffle) on exact intervals.
 
-    Returns a report dict; 'passed' is True when the defect is within
-    tol plus the propagated enclosure radii, compared in exact rationals.
+    The certified sums of a, b and a * b stay exact.  'passed' is True
+    when the defect between the center of zeta(a) zeta(b) and that of
+    zeta(a * b) is within their radii, compared exactly.  The report
+    rounds 'lhs', 'rhs' and 'defect' to nearest once and 'allowed' up;
+    'allowed' also covers the rounding of 'lhs' and 'rhs', so each of
+    them lies within 'allowed' of the true value.
     """
     from .qsymm import quasi_shuffle
 
-    za = zeta_specialize(a, target_error)
-    zb = zeta_specialize(b, target_error)
-    prod = quasi_shuffle(a, b)
-    zprod = zeta_specialize(prod, target_error)
-    lhs = za * zb
-    defect = abs(Fraction(lhs.value) - Fraction(zprod.value))
-    allowed = Fraction(tol) + Fraction(lhs.error_bound) + Fraction(zprod.error_bound)
+    (ca, ra), _ = _specialize(a, target_error)
+    (cb, rb), _ = _specialize(b, target_error)
+    (rhs, radius), _ = _specialize(quasi_shuffle(a, b), target_error)
+    lhs = ca * cb
+    # |x y - ca cb| <= |ca| |y - cb| + |cb| |x - ca| + |x - ca| |y - cb|
+    radius += abs(ca) * rb + abs(cb) * ra + ra * rb
+    defect = abs(lhs - rhs)
+    lhs_f, rhs_f = float(lhs), float(rhs)
+    rounding = abs(Fraction(lhs_f) - lhs) + abs(Fraction(rhs_f) - rhs)
     return {
-        "lhs": lhs.value,
-        "rhs": zprod.value,
+        "lhs": lhs_f,
+        "rhs": rhs_f,
         "defect": float(defect),
-        "allowed": _float_up(allowed),
-        "passed": defect <= allowed,
+        "allowed": _float_up(radius + rounding),
+        "passed": defect <= radius,
     }

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfgenus import mzv
+from hopfgenus import mzv, qsymm
 from hopfgenus.qsymm import QSymmElement, quasi_shuffle
 from hopfgenus.rational import Q
 
@@ -89,24 +89,6 @@ class TestDepthThree:
 
 
 class TestCertifiedReal:
-    def test_arithmetic(self):
-        a = mzv.CertifiedReal(1.0, 0.1)
-        b = mzv.CertifiedReal(2.0, 0.2)
-        assert (a + b).value == 3.0
-        assert (a + b).error_bound == pytest.approx(0.3)
-        prod = a * b
-        assert prod.error_bound == pytest.approx(1.0 * 0.2 + 2.0 * 0.1 + 0.02)
-
-    def test_rounding_is_outward(self):
-        # exact rationals of the float operands: each result must enclose
-        # the exact sum, difference and product, also at radius 0
-        for x, y in [(0.1, 0.2), (1 / 3, 2 / 7), (1e16, 1.0), (math.pi, -math.e)]:
-            a, b = mzv.CertifiedReal(x, 0.0), mzv.CertifiedReal(y, 0.0)
-            fx, fy = Fraction(x), Fraction(y)
-            for enc, exact in [(a + b, fx + fy), (a - b, fx - fy), (a * b, fx * fy), (a * Fraction(1, 3), fx / 3)]:
-                assert abs(Fraction(enc.value) - exact) <= Fraction(enc.error_bound)
-                assert enc.error_bound > 0
-
     @pytest.mark.parametrize("center", [Fraction(1, 3), Fraction(2, 3), Fraction(10, 7), Fraction(-5, 11)])
     @pytest.mark.parametrize("scale", [0, Fraction(1, 10), Fraction(9, 10), 3])
     def test_enclose_holds_both_ends(self, center, scale):
@@ -172,6 +154,11 @@ def mp():
         yield mpmath.mp
 
 
+def _mpq(mp, x):
+    """The rational x as an mpf at the working precision."""
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def _assert_encloses(mp, enc, ref, target):
     assert math.ulp(enc.value) <= enc.error_bound <= target
     assert abs(mp.mpf(enc.value) - ref) <= enc.error_bound
@@ -223,8 +210,9 @@ class TestHolderEvaluator:
                     for enc in encs:
                         assert math.ulp(enc.value) <= enc.error_bound <= target
                     ref = mp.zeta(a) * depth_two[b, c] - depth_two[a + b, c] - depth_two[b, a + c]
-                    total = encs[0] + encs[1] + encs[2]
-                    assert abs(mp.mpf(total.value) - ref) <= total.error_bound
+                    center = sum(Fraction(enc.value) for enc in encs)
+                    radius = sum(Fraction(enc.error_bound) for enc in encs)
+                    assert abs(_mpq(mp, center) - ref) <= _mpq(mp, radius)
 
 
 def test_precision_error_below_float_resolution():
@@ -482,21 +470,76 @@ def test_mzv_eval_matches_the_per_n_evaluator():
 STUFFLE_PAIRS = [((2,), (3, 3)), ((3,), (2, 2)), ((4,), (1, 4)), ((5,), (2, 3)), ((2, 2), (3, 2)), ((2,), (4,))]
 
 
-@pytest.mark.parametrize("i", range(len(STUFFLE_PAIRS)))
-def test_shared_levels_agree_with_the_per_word_sum(mp, depth_two, i):
-    rng, target = random.Random(i), 1e-6
-
-    def reference(side):
-        return sum(c * (mp.zeta(w[0]) if len(w) == 1 else depth_two[w]) for w, c in side.items())
-
+def _stuffle_sides(i, rng):
+    """The three (a, b) checks of pair i, as {word: coefficient} dicts."""
     for k in (0, 1, 2):
         sides = []
         for u, v in (STUFFLE_PAIRS[i], STUFFLE_PAIRS[(i + k) % len(STUFFLE_PAIRS)]):
             sides.append({u: rng.choice([-2, -1, 1, 2, 3]), v: rng.choice([-1, 1, 2])})
+        yield sides
+
+
+def _side_reference(mp, depth_two, side):
+    return sum(c * (mp.zeta(w[0]) if len(w) == 1 else depth_two[w]) for w, c in side.items())
+
+
+@pytest.mark.parametrize("i", range(len(STUFFLE_PAIRS)))
+def test_shared_levels_agree_with_the_per_word_sum(mp, depth_two, i):
+    rng, target = random.Random(i), 1e-6
+    for sides in _stuffle_sides(i, rng):
         a, b = (QSymmElement(s) for s in sides)
-        refs = [reference(sides[0]), reference(sides[1])]
+        refs = [_side_reference(mp, depth_two, side) for side in sides]
         for q, ref in zip((a, b, quasi_shuffle(a, b)), refs + [refs[0] * refs[1]]):
             new = mzv.zeta_specialize(q, target)
             assert new.overlaps(_old_zeta_specialize(q, target))
             assert math.ulp(new.value) <= new.error_bound <= target
             assert abs(mp.mpf(new.value) - ref) <= new.error_bound
+
+
+@pytest.mark.parametrize("i", range(len(STUFFLE_PAIRS)))
+def test_stuffle_report_lies_within_allowed_of_the_reference(mp, depth_two, i):
+    # the reported floats are rounded once, and 'allowed' covers that rounding
+    for sides in _stuffle_sides(i, random.Random(i)):
+        report = mzv.homomorphism_check(*(QSymmElement(s) for s in sides), target_error=1e-6)
+        assert report["passed"] and report["defect"] <= report["allowed"]
+        ref = _side_reference(mp, depth_two, sides[0]) * _side_reference(mp, depth_two, sides[1])
+        for side in ("lhs", "rhs"):
+            assert abs(mp.mpf(report[side]) - ref) <= report["allowed"], side
+
+
+@pytest.mark.parametrize("pair", STUFFLE_PAIRS)
+def test_stuffle_check_rejects_an_extra_term(monkeypatch, pair):
+    a, b = (QSymmElement.monomial(w) for w in pair)
+    report = mzv.homomorphism_check(a, b)
+    assert report["passed"]
+    # one extra term of the product, worth about 10 times the summed radii
+    extra = (2, 3)
+    coeff = Fraction(10 * report["allowed"]) / Fraction(mzv.mzv_eval(extra).value)
+    monkeypatch.setattr(qsymm, "quasi_shuffle", lambda x, y: quasi_shuffle(x, y) + QSymmElement.monomial(extra, coeff))
+    mutated = mzv.homomorphism_check(a, b)
+    assert not mutated["passed"]
+    assert mutated["defect"] > mutated["allowed"]
+
+
+def _compositions(weight, depth):
+    if depth == 1:
+        yield (weight,)
+        return
+    for first in range(1, weight - depth + 2):
+        for rest in _compositions(weight - first, depth - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("target", [1e-8, 1e-15])
+@pytest.mark.parametrize("w", range(4, 8))
+def test_sum_theorem_on_exact_ends(mp, w, target):
+    # the admissible indices of weight w and one depth sum to zeta(w); the
+    # exact intervals, before any rounding, take no depth-1 value
+    intervals = []
+    for depth in (2, 3):
+        words = [(idx, 1) for idx in _compositions(w, depth) if mzv.is_admissible(idx)]
+        (center, radius), _ = mzv._nested_eval(words, target)
+        assert abs(_mpq(mp, center) - mp.zeta(w)) <= _mpq(mp, radius), depth
+        intervals.append((center, radius))
+    (c2, r2), (c3, r3) = intervals
+    assert abs(c2 - c3) <= r2 + r3
