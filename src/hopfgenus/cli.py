@@ -277,9 +277,12 @@ def _parse_t(text):
             continue
         k, _, v = piece.partition(":")
         try:
-            entries[int(k)] = rational_from_string(v)
+            k, v = int(k), rational_from_string(v)
         except (ValueError, ZeroDivisionError):
             raise CLIError("parse-error", "bad deformation entry %r" % piece, 2)
+        if k in entries:
+            raise CLIError("parse-error", "deformation index %d appears more than once" % k, 2)
+        entries[k] = v
     try:
         return genus_mod.DeformationParameters.from_dict(entries)
     except ValueError as exc:

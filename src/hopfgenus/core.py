@@ -24,7 +24,9 @@ per monomial, in which a monomial product is an integer sum: ``*``
 thin scalings of the last two: ``exp`` feeds k a_k to ``exp_scaled``,
 and ``log`` divides component k of ``log_scaled`` by k.  The scaled
 forms keep Newton's identities integral, with no rational round trip.
-``TruncatedSeries`` packs its monomials with a ``_PackedLayout``;
+One base class, ``_Series``, carries the series operators and their
+bound and constant-term preconditions for both series classes:
+``TruncatedSeries`` packs its monomials with a ``_PackedLayout`` and
 ``PowerSeries1`` packs x^k as the integer k.
 
 Everything here is immutable-by-convention and pure: operations return
@@ -129,6 +131,12 @@ class LinearCombination:
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()})
 
+    def scale(self, s):
+        """The scalar multiple s * self: each coefficient becomes canonical(c * s)."""
+        if s == 0:
+            return type(self)()
+        return type(self)({k: canonical(c * s) for k, c in self.terms.items()})
+
 
 def gen_id(family, index, degree=None):
     """Pack (family, index, degree) into a generator id.
@@ -210,14 +218,9 @@ class GradedPolynomial(LinearCombination):
     def __mul__(self, other):
         if isinstance(other, GradedPolynomial):
             return GradedPolynomial(mul_terms(self.terms, other.terms))
-        if other == 0:
-            return GradedPolynomial.zero()
-        return GradedPolynomial({m: canonical(c * other) for m, c in self.terms.items()})
+        return self.scale(other)
 
-    def __rmul__(self, other):
-        if other == 0:
-            return GradedPolynomial.zero()
-        return GradedPolynomial({m: canonical(other * c) for m, c in self.terms.items()})
+    __rmul__ = LinearCombination.scale
 
     def __truediv__(self, scalar):
         """Divide every coefficient by ``scalar``, exactly when both are exact."""
@@ -250,9 +253,6 @@ class GradedPolynomial(LinearCombination):
         if not self.terms:
             return -1
         return max(monomial_degree(m) for m in self.terms)
-
-    def degrees(self):
-        return sorted({monomial_degree(m) for m in self.terms})
 
     def map_coefficients(self, fn):
         out = {}
@@ -469,12 +469,98 @@ class _PackedLayout:
         return TruncatedSeries([self.unpack(t) for t in packed_comps])
 
 
-class TruncatedSeries:
+class _Series:
+    """The operators of both truncated-series classes, written once.
+
+    A series holds one part per degree 0..D in ``_parts``: a homogeneous
+    ``GradedPolynomial`` or a number.  A subclass gives its storage,
+    ``_constant(c)`` (a new part of value c) and ``_run``, which packs
+    its operands, runs a recurrence and unpacks the result.  Operators on
+    two series raise ``BoundMismatchError`` for unequal bounds rather
+    than re-truncate; a failed constant-term precondition raises
+    ``ConstantTermError``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def bound(self):
+        return len(self._parts) - 1
+
+    @classmethod
+    def zero(cls, bound):
+        return cls([cls._constant(0) for _ in range(bound + 1)])
+
+    @classmethod
+    def one(cls, bound):
+        series = cls.zero(bound)
+        series._parts[0] = cls._constant(1)
+        return series
+
+    def _check(self, other):
+        if self.bound != other.bound:
+            raise BoundMismatchError(
+                "series bounds differ: %d vs %d" % (self.bound, other.bound)
+            )
+
+    def _require_constant(self, value, message):
+        if self._parts[0] != self._constant(value):
+            raise ConstantTermError(message)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.bound == other.bound and all(
+                a == b for a, b in zip(self._parts, other._parts)
+            )
+        return NotImplemented
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)([canonical(a + b) for a, b in zip(self._parts, other._parts)])
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)([canonical(a - b) for a, b in zip(self._parts, other._parts)])
+
+    def scale(self, s):
+        return type(self)([canonical(c * s) for c in self._parts])
+
+    def __mul__(self, other):
+        """Cauchy product; the products of each degree share one accumulator."""
+        self._check(other)
+        return self._run(_series_mul, other)
+
+    def inverse(self):
+        """Multiplicative inverse 1 / self; requires constant term 1."""
+        self._require_constant(1, "series inverse needs constant term 1")
+        return self.one(self.bound)._run(_series_div, self)
+
+    def exp(self):
+        """Exponential; requires zero constant term."""
+        self._require_constant(0, "series exp needs zero constant term")
+        return self._run(_series_exp)
+
+    def log_scaled(self):
+        """Part k is k times that of log(self): t a'/a, for a = self.
+
+        Requires constant term 1; integral coefficients give integral
+        results (Newton's identities).
+        """
+        self._require_constant(1, "series log needs constant term 1")
+        return self._run(_series_log_scaled)
+
+    def log(self):
+        """Logarithm; requires constant term 1.  Part k is that of
+        ``log_scaled`` divided exactly by k."""
+        self._require_constant(1, "series log needs constant term 1")
+        return self._run(_series_log)
+
+
+class TruncatedSeries(_Series):
     """Graded-polynomial coefficients per total degree up to a bound D.
 
     Stored as one homogeneous component per degree 0..D; terms above D
-    are absent by construction.  Mismatched bounds raise rather than
-    silently re-truncating.
+    are absent by construction.
 
     The series operations are the recurrences ``*``, ``/`` (``inverse``
     is 1/self), ``exp_scaled`` and ``log_scaled``; ``exp`` and ``log``
@@ -488,14 +574,16 @@ class TruncatedSeries:
 
     __slots__ = ("comps",)
 
+    _constant = staticmethod(GradedPolynomial.constant)
+
     def __init__(self, comps):
         self.comps = list(comps)
         if not self.comps:
             raise ValueError("series needs at least the degree-0 component")
 
     @property
-    def bound(self):
-        return len(self.comps) - 1
+    def _parts(self):
+        return self.comps
 
     @classmethod
     def from_polynomial(cls, poly, bound):
@@ -507,51 +595,14 @@ class TruncatedSeries:
                 comps[d][m] = c
         return cls([GradedPolynomial(t) for t in comps])
 
-    @classmethod
-    def one(cls, bound):
-        comps = [GradedPolynomial.zero() for _ in range(bound + 1)]
-        comps[0] = GradedPolynomial.one()
-        return cls(comps)
-
-    @classmethod
-    def zero(cls, bound):
-        return cls([GradedPolynomial.zero() for _ in range(bound + 1)])
-
-    def component(self, d):
-        return self.comps[d]
-
     def polynomial(self):
         total = {}
         for c in self.comps:
             add_into(total, c.terms)
         return GradedPolynomial(total)
 
-    def _check(self, other):
-        if self.bound != other.bound:
-            raise BoundMismatchError(
-                "series bounds differ: %d vs %d" % (self.bound, other.bound)
-            )
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.bound == other.bound and all(
-                a == b for a, b in zip(self.comps, other.comps)
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.comps, other.comps)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.comps, other.comps)])
-
     def __neg__(self):
         return TruncatedSeries([-a for a in self.comps])
-
-    def scale(self, scalar):
-        return TruncatedSeries([c * scalar for c in self.comps])
 
     def _run(self, recurrence, *others):
         """Pack self and ``others`` on one layout, run ``recurrence`` on the
@@ -560,28 +611,15 @@ class TruncatedSeries:
         layout = _PackedLayout(operands, self.bound)
         return layout.series(recurrence(*[layout.pack(s) for s in operands]))
 
-    def __mul__(self, other):
-        """Cauchy product.
-
-        All the pairs of components of degree k are convolved into one
-        accumulator, whose nonzero sums are made canonical once, as in
-        ``/``.
-        """
-        self._check(other)
-        return self._run(_series_mul, other)
+    # perfbench's tracer wraps the product through this class's own
+    # attribute and its restore test reads it from the class __dict__.
+    __mul__ = _Series.__mul__
 
     def __truediv__(self, other):
         """Quotient self / other in one pass; requires ``other`` to have constant term 1."""
         self._check(other)
-        if other.comps[0] != GradedPolynomial.one():
-            raise ConstantTermError("series division needs a divisor with constant term 1")
+        other._require_constant(1, "series division needs a divisor with constant term 1")
         return self._run(_series_div, other)
-
-    def inverse(self):
-        """Multiplicative inverse 1 / self; requires constant term 1."""
-        if self.comps[0] != GradedPolynomial.one():
-            raise ConstantTermError("series inverse needs constant term 1")
-        return TruncatedSeries.one(self.bound)._run(_series_div, self)
 
     def exp_scaled(self):
         """exp(sum_k s_k / k), s_k component k of self; requires zero constant term.
@@ -590,32 +628,8 @@ class TruncatedSeries:
         integral s_k no coefficient is a fraction until the recurrence's
         own exact division by k.
         """
-        if self.comps[0].terms:
-            raise ConstantTermError("series exp needs zero constant term")
+        self._require_constant(0, "series exp needs zero constant term")
         return self._run(_series_exp_scaled)
-
-    def exp(self):
-        """Exponential; requires zero constant term."""
-        if self.comps[0].terms:
-            raise ConstantTermError("series exp needs zero constant term")
-        return self._run(_series_exp)
-
-    def log_scaled(self):
-        """Component k is k times that of log(self): t a'/a, for a = self.
-
-        Requires constant term 1; integral coefficients give integral
-        results (Newton's identities).
-        """
-        if self.comps[0] != GradedPolynomial.one():
-            raise ConstantTermError("series log needs constant term 1")
-        return self._run(_series_log_scaled)
-
-    def log(self):
-        """Logarithm; requires constant term 1.  Component k is that of
-        ``log_scaled`` divided exactly by k."""
-        if self.comps[0] != GradedPolynomial.one():
-            raise ConstantTermError("series log needs constant term 1")
-        return self._run(_series_log)
 
     def __repr__(self):
         return "TruncatedSeries(bound=%d, %s)" % (
@@ -624,107 +638,42 @@ class TruncatedSeries:
         )
 
 
-class PowerSeries1:
+class PowerSeries1(_Series):
     """Univariate truncated power series with arbitrary numeric coefficients.
 
     Used for characteristic series, formal-group logarithms and the
-    Gamma-function exponential.  Coefficient index = power of x.
-    ``*``, ``inverse`` (1/self), ``exp``, ``log_scaled`` and ``log`` run
-    the recurrences of ``TruncatedSeries`` (``_series_mul`` etc.),
-    written once for both classes, with x^k packed as the key k.
+    Gamma-function exponential.  Coefficient index = power of x.  One
+    base class, ``_Series``, carries the operators and their
+    preconditions for this class and ``TruncatedSeries``; the
+    recurrences run with x^k packed as the key k.
     """
 
     __slots__ = ("coeffs",)
+
+    _constant = staticmethod(canonical)
 
     def __init__(self, coeffs):
         self.coeffs = list(coeffs)
 
     @property
-    def bound(self):
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, bound):
-        return cls([0] * (bound + 1))
-
-    @classmethod
-    def one(cls, bound):
-        c = [0] * (bound + 1)
-        c[0] = 1
-        return cls(c)
+    def _parts(self):
+        return self.coeffs
 
     @classmethod
     def x(cls, bound):
-        c = [0] * (bound + 1)
-        c[1] = 1
-        return cls(c)
-
-    def _check(self, other):
-        if self.bound != other.bound:
-            raise BoundMismatchError(
-                "series bounds differ: %d vs %d" % (self.bound, other.bound)
-            )
-
-    def __eq__(self, other):
-        if isinstance(other, PowerSeries1):
-            return self.bound == other.bound and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        self._check(other)
-        return PowerSeries1([canonical(a + b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return PowerSeries1([canonical(a - b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, s):
-        return PowerSeries1([canonical(c * s) for c in self.coeffs])
-
-    def _packed(self):
-        return [{k: c} if c else {} for k, c in enumerate(self.coeffs)]
-
-    @classmethod
-    def _from_packed(cls, packed):
-        return cls([t.get(k, 0) for k, t in enumerate(packed)])
+        series = cls.zero(bound)
+        series.coeffs[1] = 1
+        return series
 
     def _run(self, recurrence, *others):
         """Run ``recurrence`` on self and ``others`` packed, x^k as the key k."""
-        packed = [self._packed()] + [o._packed() for o in others]
-        return PowerSeries1._from_packed(recurrence(*packed))
-
-    def __mul__(self, other):
-        self._check(other)
-        return self._run(_series_mul, other)
-
-    def inverse(self):
-        if self.coeffs[0] != 1:
-            raise ConstantTermError("series inverse needs constant term 1")
-        return PowerSeries1.one(self.bound)._run(_series_div, self)
-
-    def exp(self):
-        if self.coeffs[0] != 0:
-            raise ConstantTermError("series exp needs zero constant term")
-        return self._run(_series_exp)
-
-    def log_scaled(self):
-        """[k * (log self)_k]: integral for integral coefficients."""
-        if self.coeffs[0] != 1:
-            raise ConstantTermError("series log needs constant term 1")
-        return self._run(_series_log_scaled)
-
-    def log(self):
-        if self.coeffs[0] != 1:
-            raise ConstantTermError("series log needs constant term 1")
-        return self._run(_series_log)
+        packed = [[{k: c} if c else {} for k, c in enumerate(s.coeffs)] for s in (self,) + others]
+        return PowerSeries1([t.get(k, 0) for k, t in enumerate(recurrence(*packed))])
 
     def compose(self, inner):
         """self(inner(x)); inner must have zero constant term."""
         self._check(inner)
-        if inner.coeffs[0] != 0:
-            raise ConstantTermError("composition needs zero inner constant term")
+        inner._require_constant(0, "composition needs zero inner constant term")
         D = self.bound
         result = PowerSeries1.zero(D)
         power = PowerSeries1.one(D)

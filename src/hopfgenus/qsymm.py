@@ -53,11 +53,6 @@ class QSymmElement(LinearCombination):
     def one(cls):
         return cls({(): 1})
 
-    def scale(self, s):
-        if s == 0:
-            return QSymmElement()
-        return QSymmElement({a: canonical(c * s) for a, c in self.terms.items()})
-
     def __mul__(self, other):
         return quasi_shuffle(self, other)
 

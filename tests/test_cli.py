@@ -109,6 +109,16 @@ class TestQsymmCommand:
         assert json.loads(out) == {"code": "parse-error", "message": "explicit profile repeats weight 2"}
 
 
+@pytest.mark.parametrize("t, index", [("1:1/3,1:2", 1), ("3:1, 1:2, 03:0", 3)])
+def test_repeated_deformation_index(t, index, capsys):
+    code, out = run(["genus", "deform", "--manifold", "CP2", "--series", "Todd", "--t", t], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "code": "parse-error",
+        "message": "deformation index %d appears more than once" % index,
+    }
+
+
 class TestMzvCommand:
     def test_eval(self, capsys):
         code, out = run(["mzv", "eval", "--index", "(2)", "--error", "1e-8"], capsys)

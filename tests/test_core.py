@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from hopfgenus.core import (
     parse_polynomial,
 )
 from hopfgenus.qsymm import NSymmElement, QSymmElement
-from hopfgenus.rational import Q
+from hopfgenus.rational import Q, canonical
 
 
 def poly(text):
@@ -246,3 +248,48 @@ class TestAddInto:
         assert p + 1 == 1 + p == poly("1 + c[1] + 2*c[2]")
         assert 1 - p == poly("1 - c[1] - 2*c[2]")
         assert type(a + b) is QSymmElement and type(p - p) is GradedPolynomial
+
+
+def _bits(terms):
+    """Term dict with coefficient types and float bits, so that 2 and
+    Fraction(2), and 0.0 and -0.0, differ."""
+
+    def bits(c):
+        if type(c) is float:
+            return c.hex()
+        if type(c) is complex:
+            return c.real.hex(), c.imag.hex()
+        return c
+
+    return {k: (type(c), bits(c)) for k, c in terms.items()}
+
+
+def _random_scaling_coeff(rng, kind):
+    if kind == "int":
+        return rng.choice([-1, 1]) * rng.randint(1, 9)
+    if kind == "fraction":
+        return canonical(Q(rng.randint(-9, 9) or 1, rng.randint(2, 7)))
+    x, y = rng.uniform(-3, 3), rng.uniform(-3, 3)
+    if kind == "float":
+        return rng.choice([x, -0.0, 1e-300])
+    return rng.choice([complex(x, y), complex(x, 0.0), complex(-0.0, y), complex(x, -0.0)])
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "complex"])
+@pytest.mark.parametrize("s", [0, -1, Q(1, 2), 0.5, 1j])
+def test_scaling_keeps_the_bits(kind, s):
+    # The oracle is the former per-class code: GradedPolynomial's * and
+    # QSymmElement.scale formed canonical(c * s), GradedPolynomial's
+    # __rmul__ canonical(s * c), and each returned zero for s == 0.
+    rng = random.Random(22)
+    for _ in range(20):
+        coeffs = [_random_scaling_coeff(rng, kind) for _ in range(rng.randint(1, 6))]
+        p = GradedPolynomial({((gen_id("c", k + 1), 1),): c for k, c in enumerate(coeffs)})
+        a = QSymmElement({(k + 1,): c for k, c in enumerate(coeffs)})
+        right = {} if s == 0 else {m: canonical(c * s) for m, c in p.terms.items()}
+        left = {} if s == 0 else {m: canonical(s * c) for m, c in p.terms.items()}
+        qsymm = {} if s == 0 else {w: canonical(c * s) for w, c in a.terms.items()}
+        assert _bits((p * s).terms) == _bits(right), coeffs
+        assert _bits((s * p).terms) == _bits(left), coeffs
+        assert _bits(a.scale(s).terms) == _bits(qsymm), coeffs
+        assert type(p * s) is GradedPolynomial and type(a.scale(s)) is QSymmElement

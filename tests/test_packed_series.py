@@ -9,10 +9,14 @@ exponent of every generator at the top of its bit field, where a field
 one bit too narrow would carry into its neighbour.  ``/``,
 ``exp_scaled`` and ``log_scaled`` are checked against ``*``, ``inverse``,
 ``exp`` and ``log``: (a/b) b = a, exp_scaled(log_scaled(a)) = a and
-log_scaled = k log, term for term.
+log_scaled = k log, term for term.  The last section checks the contract
+of the series base on both classes: bound and constant-term errors with
+their messages, equality across bounds, and parts shared with no other
+series.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -507,3 +511,87 @@ def test_power_series_equals_one_generator_series(op, kind):
         got = _one_generator(_apply(op, [PowerSeries1(x) for x in args]).coeffs)
         want = _apply(op, [_one_generator(x) for x in args])
         assert [_typed(c.terms) for c in got.comps] == [_typed(c.terms) for c in want.comps], D
+
+
+# ---------------------------------------------------------------------------
+# the contract of the shared series base, on both classes
+
+
+def _series(cls, coeffs):
+    return _one_generator(coeffs) if cls is TruncatedSeries else PowerSeries1(coeffs)
+
+
+def _state(series):
+    """A copy of what a caller can mutate: the parts, and each component's terms."""
+    if type(series) is TruncatedSeries:
+        return [dict(p.terms) for p in series.comps]
+    return list(series.coeffs)
+
+
+def _poke(series, k):
+    """Mutate part k in place, as a caller that edits what it got back does."""
+    if type(series) is TruncatedSeries:
+        series.comps[k].terms[((T, k),) if k else ()] = 7
+    else:
+        series.coeffs[k] = 7
+
+
+@pytest.mark.parametrize("cls", [TruncatedSeries, PowerSeries1])
+class TestSeriesContract:
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_mismatched_bounds(self, cls, op):
+        a, b = _series(cls, [1, 2, 3, 4]), _series(cls, [1, 2, 3, 4, 5])
+        for x, y, msg in ((a, b, "3 vs 4"), (b, a, "4 vs 3")):
+            with pytest.raises(BoundMismatchError, match="^series bounds differ: %s$" % msg):
+                op(x, y)
+
+    @pytest.mark.parametrize(
+        "op, constant, message",
+        [
+            ("inverse", 0, "series inverse needs constant term 1"),
+            ("log", 0, "series log needs constant term 1"),
+            ("log_scaled", 0, "series log needs constant term 1"),
+            ("exp", 1, "series exp needs zero constant term"),
+        ],
+    )
+    def test_constant_term(self, cls, op, constant, message):
+        for coeffs in ([constant], [constant, 1, 2]):
+            with pytest.raises(ConstantTermError, match="^%s$" % message):
+                getattr(_series(cls, coeffs), op)()
+
+    def test_equality_needs_equal_bounds(self, cls):
+        assert cls.zero(3) == cls.zero(3) and cls.one(3) == _series(cls, [1, 0, 0, 0])
+        assert cls.zero(3) != cls.zero(4)
+        assert not cls.one(4) == cls.one(3)
+        assert _series(cls, [1, 2]) != _series(cls, [1, 2, 0])
+
+    @pytest.mark.parametrize("b", [0, 1, 5])
+    def test_zero_and_one_have_fresh_parts(self, cls, b):
+        for make in (cls.zero, cls.one):
+            assert make(b).bound == b and len(_state(make(b))) == b + 1
+            for k in range(b + 1):
+                s, other = make(b), make(b)
+                before = _state(s)
+                _poke(s, k)
+                after = _state(s)
+                assert [i for i in range(b + 1) if after[i] != before[i]] == [k]
+                assert _state(other) == _state(make(b)) == before
+
+    def test_results_share_no_part(self, cls):
+        # with an operand, with a class attribute, or with the result of
+        # the same operation run again
+        one, zero, s = cls.one(3), cls.zero(3), _series(cls, [1, 2, 0, 5])
+
+        def results():
+            return [
+                one + zero, zero + one, one - zero, one * one, one.scale(1), zero.scale(0),
+                one.inverse(), zero.exp(), one.log(), one.log_scaled(), s * one, s.inverse(),
+            ]
+
+        poked, again = results(), results()
+        before = [_state(x) for x in [one, zero, s] + again]
+        for r in poked:
+            for k in range(4):
+                _poke(r, k)
+        assert [_state(x) for x in [one, zero, s] + again] == before
+        assert _state(cls.one(3)) == before[0] and _state(cls.zero(3)) == before[1]
