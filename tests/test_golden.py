@@ -1,8 +1,11 @@
-"""Byte-identical output: the README's CLI examples and the acceptance lines.
+"""Byte-identical output: the README's CLI examples, the acceptance lines
+and the ``--help`` texts.
 
 Every CLI example in the README is run in each output format and its
 stdout compared byte for byte with a file under ``tests/golden/``.  The
-acceptance suite is pinned by its status lines without the timings.
+acceptance suite is pinned by its status lines without the timings.  The
+``--help`` text of the top-level parser and of each subcommand is pinned
+at ``COLUMNS=80``, the width argparse wraps it to.
 The files record the output of the tree before integer coefficients
 became canonical; an intended output change regenerates them with
 
@@ -13,6 +16,7 @@ and says so in CHANGES.md.
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -39,6 +43,8 @@ EXAMPLES = [
 ]
 FORMATS = ("text", "json", "csv")
 CASES = [(name, argv, fmt) for name, argv in EXAMPLES for fmt in FORMATS]
+SUBCOMMANDS = ("symm", "qsymm", "mzv", "tor", "series", "genus", "coaction", "acceptance")
+HELP = [("help", [])] + [("help-" + cmd, [cmd]) for cmd in SUBCOMMANDS]
 
 
 def cli_stdout(argv, fmt):
@@ -46,6 +52,16 @@ def cli_stdout(argv, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(args + ["--format", fmt])
+    return "exit %d\n%s" % (code, out.getvalue())
+
+
+def help_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            cli.main(argv + ["--help"])
+        except SystemExit as exc:
+            code = exc.code
     return "exit %d\n%s" % (code, out.getvalue())
 
 
@@ -65,6 +81,12 @@ def test_readme_cli_example(name, argv, fmt):
     assert cli_stdout(argv, fmt) == _path(name, fmt).read_text()
 
 
+@pytest.mark.parametrize("name,argv", HELP, ids=[name for name, _ in HELP])
+def test_help_text(name, argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_stdout(argv) == (GOLDEN / ("%s.out" % name)).read_text()
+
+
 def test_acceptance_status_lines():
     assert acceptance_lines() == (GOLDEN / "acceptance.out").read_text()
 
@@ -74,4 +96,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     for name, argv, fmt in CASES:
         _path(name, fmt).write_text(cli_stdout(argv, fmt))
+    os.environ["COLUMNS"] = "80"
+    for name, argv in HELP:
+        (GOLDEN / ("%s.out" % name)).write_text(help_stdout(argv))
     (GOLDEN / "acceptance.out").write_text(acceptance_lines())
