@@ -2,9 +2,11 @@
 
 One executable, one subcommand per module.  Config precedence is
 flags > config file > defaults, and the effective config is echoed into
-every JSON report.  Errors come back as JSON objects with a stable
-``code`` field: exit 0 on success, 1 on computation errors, 2 on usage
-or config errors.  Output is deterministic (sorted keys, sorted rows).
+every JSON report.  Each subcommand handler returns its report text and
+exit code; ``main`` writes the text once, to ``--output`` or stdout.
+Errors come back on stdout as JSON objects with a stable ``code`` field:
+exit 0 on success, 1 on computation errors, 2 on usage or config errors.
+Output is deterministic (sorted keys, sorted rows).
 """
 
 import argparse
@@ -81,21 +83,25 @@ def _effective_config(args):
     return cfg
 
 
-def _emit(text, cfg):
-    out = cfg.get("output")
-    if out:
+def _emit(text, out):
+    if not out:
+        sys.stdout.write(text + "\n")
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    except OSError as exc:
+        raise CLIError("config-error", "cannot write output %s: %s" % (out, exc.strerror), 2)
 
 
 def _json_dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def _config_echo(cfg):
-    return {k: cfg[k] for k in ("degree", "error", "model", "format")}
+def _report(cfg, **fields):
+    # every JSON report echoes the effective config
+    fields["config"] = {k: cfg[k] for k in ("degree", "error", "model", "format")}
+    return _json_dump(fields)
 
 
 def _scalar_text(v):
@@ -106,22 +112,17 @@ def _scalar_text(v):
 
 def _rows_text(header, rows, cfg):
     if cfg["format"] == "json":
-        return _json_dump(
-            {
-                "columns": list(header),
-                "rows": [list(r) for r in rows],
-                "config": _config_echo(cfg),
-            }
-        )
+        return _report(cfg, columns=header, rows=rows)
     lines = [",".join(header)]
     lines += [",".join(str(x) for x in r) for r in rows]
     return "\n".join(lines)
 
 
-def _nonnegative(flag, value):
+def _check_size(flag, value, least=0):
     # size flags are checked where they enter, before any library call
-    if value is not None and value < 0:
-        raise CLIError("parse-error", "%s must be nonnegative, got %d" % (flag, value), 2)
+    if value is not None and value < least:
+        rule = "at least %d" % least if least else "nonnegative"
+        raise CLIError("parse-error", "%s must be %s, got %d" % (flag, rule, value), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,26 +130,18 @@ def _nonnegative(flag, value):
 
 
 def _cmd_symm(args, cfg):
-    _nonnegative("--max-weight", args.max_weight)
+    _check_size("--max-weight", args.max_weight)
     bound = args.max_weight if args.max_weight is not None else min(cfg["degree"], 20)
-    report = {"identity": args.which, "max_weight": bound, "config": _config_echo(cfg)}
-    if args.which == "d-classes":
-        mismatch = symm.d_class_mismatch(bound)
-    elif args.which == "a-classes":
-        mismatch = symm.a_class_mismatch(bound)
-    else:
-        raise CLIError("unknown-name", "unknown identity %r" % args.which, 2)
-    if mismatch is None:
-        report["status"] = "exact-match"
-    else:
-        report["status"] = "mismatch"
-        report["first_mismatch_weight"] = mismatch
-    _emit(_json_dump(report), cfg)
-    return 0 if mismatch is None else 1
+    check = symm.d_class_mismatch if args.which == "d-classes" else symm.a_class_mismatch
+    mismatch = check(bound)
+    report = {"identity": args.which, "max_weight": bound, "status": "exact-match"}
+    if mismatch is not None:
+        report.update(status="mismatch", first_mismatch_weight=mismatch)
+    return _report(cfg, **report), 0 if mismatch is None else 1
 
 
 def _cmd_qsymm(args, cfg):
-    _nonnegative("--bound", args.bound)
+    _check_size("--bound", args.bound, least=1)
     try:
         profile = qsymm.GeneratorProfile.from_text(args.profile)
     except ValueError as exc:
@@ -156,23 +149,11 @@ def _cmd_qsymm(args, cfg):
     if args.action == "hilbert":
         dims = qsymm.free_algebra_hilbert(profile, args.bound, args.flavor)
         rows = [(n, dims[n]) for n in range(args.bound + 1)]
-        _emit(_rows_text(("degree", "dim"), rows, cfg), cfg)
-    else:  # lyndon
-        words = qsymm.lyndon_generators(args.bound, profile)
-        if cfg["format"] == "json":
-            _emit(
-                _json_dump(
-                    {
-                        "weight": args.bound,
-                        "words": [list(w) for w in words],
-                        "config": _config_echo(cfg),
-                    }
-                ),
-                cfg,
-            )
-        else:
-            _emit("\n".join(qsymm.format_composition(w) for w in words) or "(none)", cfg)
-    return 0
+        return _rows_text(("degree", "dim"), rows, cfg), 0
+    words = qsymm.lyndon_generators(args.bound, profile)
+    if cfg["format"] == "json":
+        return _report(cfg, weight=args.bound, words=words), 0
+    return "\n".join(qsymm.format_composition(w) for w in words) or "(none)", 0
 
 
 def _cmd_mzv(args, cfg):
@@ -186,19 +167,8 @@ def _cmd_mzv(args, cfg):
         raise CLIError("divergent-index", str(exc))
     except mzv.PrecisionError as exc:
         raise CLIError("precision-error", str(exc))
-    _emit(
-        _json_dump(
-            {
-                "index": list(idx),
-                "value": enc.value,
-                "error_bound": enc.error_bound,
-                "admissible": True,
-                "config": _config_echo(cfg),
-            }
-        ),
-        cfg,
-    )
-    return 0
+    report = {"index": idx, "value": enc.value, "error_bound": enc.error_bound, "admissible": True}
+    return _report(cfg, **report), 0
 
 
 def _parse_algebra(text, bound):
@@ -217,21 +187,16 @@ def _parse_algebra(text, bound):
 def _cmd_tor(args, cfg):
     # The algebra is truncated at --bound unless --degree is given on the
     # command line.
-    _nonnegative("--bound", args.bound)
+    _check_size("--bound", args.bound)
     truncation = args.degree if args.degree is not None else args.bound
-    try:
-        algebra = _parse_algebra(args.algebra, truncation)
-        table = homology.tor_via_bar(algebra, args.bound)
-    except (ValueError, homology.TruncationError) as exc:
-        raise CLIError("value-error", str(exc))
+    table = homology.tor_via_bar(_parse_algebra(args.algebra, truncation), args.bound)
     rows = [(s, t, s + t, d) for s, t, d in table.nonzero()]
     rows.sort(key=lambda r: (r[2], r[0]))
-    _emit(_rows_text(("s", "t", "total", "dim"), rows, cfg), cfg)
-    return 0
+    return _rows_text(("s", "t", "total", "dim"), rows, cfg), 0
 
 
 def _cmd_series(args, cfg):
-    _nonnegative("--bound", args.bound)
+    _check_size("--bound", args.bound)
     poly_start = 2 if cfg["model"] == "kge0" else 6
     try:
         dims = homology.coefficient_ring_series(
@@ -240,8 +205,7 @@ def _cmd_series(args, cfg):
     except ValueError as exc:
         raise CLIError("unknown-name", str(exc))
     rows = [(n, dims[n]) for n in range(args.bound + 1)]
-    _emit(_rows_text(("degree", "dim"), rows, cfg), cfg)
-    return 0
+    return _rows_text(("degree", "dim"), rows, cfg), 0
 
 
 def _load_manifold(args):
@@ -249,7 +213,7 @@ def _load_manifold(args):
         try:
             with open(args.manifold_file) as fh:
                 return genus_mod.manifold_from_json(fh.read())
-        except (OSError, ValueError, KeyError, ParseError) as exc:
+        except (OSError, ValueError, KeyError) as exc:
             raise CLIError("parse-error", "bad manifold file: %s" % exc)
     try:
         return genus_mod.catalog_model(args.manifold)
@@ -283,35 +247,25 @@ def _parse_t(text):
         if k in entries:
             raise CLIError("parse-error", "deformation index %d appears more than once" % k, 2)
         entries[k] = v
-    try:
-        return genus_mod.DeformationParameters.from_dict(entries)
-    except ValueError as exc:
-        raise CLIError("value-error", str(exc))
+    return genus_mod.DeformationParameters.from_dict(entries)
 
 
 def _cmd_genus(args, cfg):
     model = _load_manifold(args)
     series = _genus_series(args.series, max(model.dim_c, 1) + 1)
-    report = {
-        "manifold": model.name,
-        "series": args.series,
-        "config": _config_echo(cfg),
-    }
+    report = {"manifold": model.name, "series": args.series}
     if args.action == "compute":
         value = genus_mod.genus(model, series)
-        report["value"] = _scalar_text(value)
     else:  # deform
         params = _parse_t(args.t)
         include = cfg["model"] == "kge0"
         value = genus_mod.deform_genus(model, series, params, include_ch1=include)
         report["t"] = {str(k): _scalar_text(v) for k, v in params.entries}
-        report["value"] = _scalar_text(value)
-    _emit(_json_dump(report), cfg)
-    return 0
+    return _report(cfg, value=_scalar_text(value), **report), 0
 
 
 def _cmd_coaction(args, cfg):
-    _nonnegative("--bound", args.bound)
+    _check_size("--bound", args.bound)
     model = _load_manifold(args)
     try:
         cls = parse_polynomial(args.cls, genus_mod.generator_degrees(model.generators))
@@ -323,19 +277,8 @@ def _cmd_coaction(args, cfg):
         or "1": format_polynomial(poly)
         for alpha, poly in psi.items()
     }
-    _emit(
-        _json_dump(
-            {
-                "manifold": model.name,
-                "class": format_polynomial(cls),
-                "bound": args.bound,
-                "components": comps,
-                "config": _config_echo(cfg),
-            }
-        ),
-        cfg,
-    )
-    return 0
+    report = {"manifold": model.name, "class": format_polynomial(cls), "bound": args.bound}
+    return _report(cfg, components=comps, **report), 0
 
 
 def _cmd_acceptance(args, cfg):
@@ -348,26 +291,16 @@ def _cmd_acceptance(args, cfg):
         raise CLIError("parse-error", "--only: unknown criterion ids %s" % unknown, 2)
     results = acceptance_mod.run_all(config, only=only)
     ok = acceptance_mod.all_passed(results)
+    code = 0 if ok else 1
     if cfg["format"] == "json":
-        _emit(
-            _json_dump(
-                {
-                    "results": results,
-                    "all_passed": ok,
-                    "config": _config_echo(cfg),
-                }
-            ),
-            cfg,
-        )
-    else:
-        lines = [
-            "[%s] %2d %-20s %7.2fs  %s"
-            % (r["status"].upper(), r["id"], r["name"], r["seconds"], r["detail"])
-            for r in results
-        ]
-        lines.append("result: %s" % ("all passed" if ok else "FAILURES"))
-        _emit("\n".join(lines), cfg)
-    return 0 if ok else 1
+        return _report(cfg, results=results, all_passed=ok), code
+    lines = [
+        "[%s] %2d %-20s %7.2fs  %s"
+        % (r["status"].upper(), r["id"], r["name"], r["seconds"], r["detail"])
+        for r in results
+    ]
+    lines.append("result: %s" % ("all passed" if ok else "FAILURES"))
+    return "\n".join(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +404,15 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
-        return args.fn(args, cfg)
+        text, code = args.fn(args, cfg)
+        _emit(text, cfg["output"])
+        return code
     except CLIError as exc:
-        sys.stdout.write(
-            _json_dump({"code": exc.code, "message": str(exc)}) + "\n"
-        )
-        return exc.exit_code
-    except (ValueError, ParseError) as exc:
-        sys.stdout.write(
-            _json_dump({"code": "value-error", "message": str(exc)}) + "\n"
-        )
-        return 1
+        error, message, code = exc.code, str(exc), exc.exit_code
+    except ValueError as exc:
+        error, message, code = "value-error", str(exc), 1
+    sys.stdout.write(_json_dump({"code": error, "message": message}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -28,12 +28,14 @@ def check_composition(alpha):
 
 def parse_composition(text):
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError("composition must look like (2,1,3): %r" % text)
     inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return check_composition(tuple(int(p) for p in inner.split(",")))
+    try:
+        parts = tuple(int(p) for p in inner.split(",")) if inner else ()
+    except ValueError:
+        parts = None
+    if parts is None or not (text.startswith("(") and text.endswith(")")):
+        raise ValueError("composition must look like (2,1,3): %r" % text)
+    return check_composition(parts)
 
 
 def format_composition(alpha):

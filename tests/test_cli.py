@@ -96,6 +96,11 @@ class TestQsymmCommand:
     def test_negative_bound(self, capsys):
         assert_flag_rejected(["qsymm", "hilbert", "--bound", "-3"], "--bound", capsys)
 
+    @pytest.mark.parametrize("action", ["hilbert", "lyndon"])
+    def test_zero_bound(self, action, capsys):
+        # the library needs a positive bound; the flag says so before the call
+        assert_flag_rejected(["qsymm", action, "--bound", "0"], "--bound", capsys)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -461,6 +466,17 @@ class TestConfigHandling:
         )
         assert code == 0
         assert path.read_text().startswith("degree,dim")
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, where):
+        path = tmp_path / "missing" / "out.csv" if where == "missing-parent" else tmp_path
+        argv = ["series", "--which", "THH", "--bound", "4", "--output", str(path)]
+        code, out = run(argv, capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["code"] == "config-error"
+        assert report["message"].startswith("cannot write output %s: " % path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAcceptanceCommand:

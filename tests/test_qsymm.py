@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,12 @@ class TestCompositions:
     def test_bad_part(self):
         with pytest.raises(ValueError):
             parse_composition("(2,0)")
+
+    @pytest.mark.parametrize("text", ["(2,a)", "(2,,3)"])
+    def test_malformed_part(self, text):
+        message = "composition must look like (2,1,3): %r" % text
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_composition(text)
 
 
 class TestQuasiShuffle:
