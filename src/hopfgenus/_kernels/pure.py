@@ -10,8 +10,8 @@ monomial is recoverable without any side table.  Coefficients are
 Python numbers (int, Fraction, float, complex); ``mul_terms`` stores its
 sums canonical (see ``rational``), so an integral product is an ``int``.
 
-``mul_terms`` multiplies ``GradedPolynomial``s and ``monomial_mul`` merges
-the monomials of coproduct terms.  The truncated-series recurrences in
+``mul_terms`` multiplies ``GradedPolynomial``s; ``monomial_mul`` only
+merges the monomials of its products.  The truncated-series recurrences in
 ``core`` do not use them: they multiply packed exponent vectors, where a
 monomial product is an integer addition (``core._PackedLayout``).
 

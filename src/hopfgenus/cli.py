@@ -6,6 +6,8 @@ every JSON report.  Each subcommand handler returns its report text and
 exit code; ``main`` writes the text once, to ``--output`` or stdout.
 Errors come back on stdout as JSON objects with a stable ``code`` field:
 exit 0 on success, 1 on computation errors, 2 on usage or config errors.
+Usage errors caught by the parser itself are ``parse-error`` objects too,
+and an input file that cannot be opened is a ``config-error``.
 Output is deterministic (sorted keys, sorted rows).
 """
 
@@ -18,7 +20,7 @@ from functools import lru_cache
 from . import genus as genus_mod
 from . import homology, mzv, qsymm, symm
 from .core import ParseError, format_polynomial, parse_polynomial
-from .rational import is_exact, rational_from_string
+from .rational import rational_from_string
 
 DEFAULTS = {
     "degree": 30,
@@ -37,6 +39,12 @@ class CLIError(Exception):
         super().__init__(message)
         self.code = code
         self.exit_code = exit_code
+
+
+class _Parser(argparse.ArgumentParser):
+    # a usage error is reported like every other error, not on stderr
+    def error(self, message):
+        raise CLIError("parse-error", message, 2)
 
 
 def _load_config_file(path):
@@ -102,12 +110,6 @@ def _report(cfg, **fields):
     # every JSON report echoes the effective config
     fields["config"] = {k: cfg[k] for k in ("degree", "error", "model", "format")}
     return _json_dump(fields)
-
-
-def _scalar_text(v):
-    if is_exact(v):
-        return str(v)
-    return repr(v)
 
 
 def _rows_text(header, rows, cfg):
@@ -198,22 +200,21 @@ def _cmd_tor(args, cfg):
 def _cmd_series(args, cfg):
     _check_size("--bound", args.bound)
     poly_start = 2 if cfg["model"] == "kge0" else 6
-    try:
-        dims = homology.coefficient_ring_series(
-            args.which, args.bound, polynomial_start=poly_start
-        )
-    except ValueError as exc:
-        raise CLIError("unknown-name", str(exc))
+    dims = homology.coefficient_ring_series(args.which, args.bound, polynomial_start=poly_start)
     rows = [(n, dims[n]) for n in range(args.bound + 1)]
     return _rows_text(("degree", "dim"), rows, cfg), 0
 
 
 def _load_manifold(args):
-    if getattr(args, "manifold_file", None):
+    path = args.manifold_file
+    if path:
         try:
-            with open(args.manifold_file) as fh:
+            with open(path) as fh:
                 return genus_mod.manifold_from_json(fh.read())
-        except (OSError, ValueError, KeyError) as exc:
+        except OSError as exc:
+            message = "cannot read manifold file %s: %s" % (path, exc.strerror)
+            raise CLIError("config-error", message, 2)
+        except (ValueError, KeyError) as exc:
             raise CLIError("parse-error", "bad manifold file: %s" % exc)
     try:
         return genus_mod.catalog_model(args.manifold)
@@ -260,8 +261,8 @@ def _cmd_genus(args, cfg):
         params = _parse_t(args.t)
         include = cfg["model"] == "kge0"
         value = genus_mod.deform_genus(model, series, params, include_ch1=include)
-        report["t"] = {str(k): _scalar_text(v) for k, v in params.entries}
-    return _report(cfg, value=_scalar_text(value), **report), 0
+        report["t"] = {str(k): str(v) for k, v in params.entries}
+    return _report(cfg, value=str(value), **report), 0
 
 
 def _cmd_coaction(args, cfg):
@@ -322,7 +323,7 @@ def _add_common(sub):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="hopfgenus")
+    p = _Parser(prog="hopfgenus")
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("symm", help="symmetric-function identity checks")
@@ -401,8 +402,8 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = _effective_config(args)
         text, code = args.fn(args, cfg)
         _emit(text, cfg["output"])

@@ -97,8 +97,9 @@ def add_into(acc, terms, scale=None):
 class LinearCombination:
     """Finite linear combination: a dict from basis keys to nonzero coefficients.
 
-    Subclasses fix what the keys mean (monomials, compositions, words,
-    pairs of monomials) and add their own products.
+    Subclasses fix what the keys mean (monomials, compositions, words)
+    and add their own products; ``symm.coproduct`` returns a plain one
+    keyed by pairs of monomials.
     """
 
     __slots__ = ("terms",)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from ._kernels import monomial_mul
 from .core import (
     GradedPolynomial,
     InvariantError,
@@ -29,6 +28,7 @@ from .core import (
     TruncatedSeries,
     add_into,
     gen_id,
+    gid_family,
     gid_index,
     monomial_degree,
 )
@@ -120,11 +120,11 @@ def monomial_partition(mon):
 # generator conversion tables between the multiplicative bases
 
 
-def _generating_series(family, D):
-    """1 + sum_k gen_k t^k up to t^D."""
+def _generating_series(family, D, sign=1):
+    """1 + sum_k sign^k gen_k t^k up to t^D."""
     return TruncatedSeries(
         [GradedPolynomial.one()]
-        + [GradedPolynomial.generator(family, k) for k in range(1, D + 1)]
+        + [GradedPolynomial.generator(family, k, coeff=sign**k) for k in range(1, D + 1)]
     )
 
 
@@ -189,8 +189,6 @@ def _p_times_m(r, mu):
 @lru_cache(maxsize=None)
 def _p_lambda_in_m(lam):
     """Expansion of p_lambda = prod p_r in the m basis."""
-    if not lam:
-        return (((), 1),)
     acc = {(): 1}
     for r in lam:
         nxt = {}
@@ -242,9 +240,6 @@ def _from_m(poly_in_m):
     for mon, coeff in poly_in_m.terms.items():
         by_weight.setdefault(monomial_degree(mon), {})[mon] = coeff
     for w, terms in by_weight.items():
-        if w == 0:
-            add_into(out, {(): terms[()]})
-            continue
         table = _m_in_p_weight(w)
         for mon, coeff in terms.items():
             lam = monomial_partition(mon)
@@ -274,12 +269,7 @@ def convert(f, target):
 
 def d_classes(D):
     """d-series in the c-generators, from the alternating/plain quotient."""
-    num = [GradedPolynomial.one()]
-    den = [GradedPolynomial.one()]
-    for k in range(1, D + 1):
-        num.append(GradedPolynomial.generator("c", k, coeff=(-1) ** k))
-        den.append(GradedPolynomial.generator("c", k))
-    return TruncatedSeries(num) / TruncatedSeries(den)
+    return _generating_series("c", D, -1) / _generating_series("c", D)
 
 
 def d_classes_exp_form(D):
@@ -296,12 +286,7 @@ def d_classes_exp_form(D):
 
 def a_classes(D):
     """a-series in the b-generators: (sum b_i)(sum (-1)^i b_i)."""
-    plain = [GradedPolynomial.one()]
-    alt = [GradedPolynomial.one()]
-    for k in range(1, D + 1):
-        plain.append(GradedPolynomial.generator("b", k))
-        alt.append(GradedPolynomial.generator("b", k, coeff=(-1) ** k))
-    return TruncatedSeries(plain) * TruncatedSeries(alt)
+    return _generating_series("b", D) * _generating_series("b", D, -1)
 
 
 def d_class_mismatch(D):
@@ -330,48 +315,39 @@ def a_class_mismatch(D):
 
 # ---------------------------------------------------------------------------
 # Hopf structure (coproduct in the E basis)
+#
+# Symm (x) Symm is one polynomial ring: the right factor's Chern classes
+# take the spare family _RIGHT, so the coproduct is one substitution.
 
-
-class HopfTensor(LinearCombination):
-    """Element of Symm (x) Symm: map (monomial, monomial) -> rational."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        out = {}
-        for (l1, r1), c1 in self.terms.items():
-            add_into(
-                out,
-                (
-                    ((monomial_mul(l1, l2), monomial_mul(r1, r2)), c1 * c2)
-                    for (l2, r2), c2 in other.terms.items()
-                ),
-            )
-        return HopfTensor(out)
+_RIGHT = "r"
+# the gids of c_k and of its right-hand copy differ by this, whatever k is
+_RIGHT_OFFSET = gen_id(_RIGHT, 1) - gen_id("c", 1)
 
 
 def _coproduct_c(n):
-    """Delta c_n = sum_{i+j=n} c_i (x) c_j as a HopfTensor."""
-    terms = {}
-    for i in range(n + 1):
-        left = () if i == 0 else ((gen_id("c", i), 1),)
-        right = () if i == n else ((gen_id("c", n - i), 1),)
-        terms[(left, right)] = 1
-    return HopfTensor(terms)
+    """Delta c_n = sum_{i+j=n} c_i (x) c_j as a polynomial in Symm (x) Symm."""
+    left = [()] + [((gen_id("c", i), 1),) for i in range(1, n + 1)]
+    right = [()] + [((gen_id(_RIGHT, j), 1),) for j in range(1, n + 1)]
+    return GradedPolynomial({tuple(sorted(left[i] + right[n - i])): 1 for i in range(n + 1)})
+
+
+def _tensor_pair(mon):
+    """The pair (left, right) of E-monomials of a monomial of Symm (x) Symm."""
+    left, right = [], []
+    for gid, e in mon:
+        if gid_family(gid) == _RIGHT:
+            right.append((gid - _RIGHT_OFFSET, e))
+        else:
+            left.append((gid, e))
+    return tuple(left), tuple(right)
 
 
 def coproduct(f):
-    """Coproduct of a symmetric function, computed in the E basis."""
-    f = convert(f, E)
-    result = {}
-    for mon, coeff in f.value.terms.items():
-        t = HopfTensor({((), ()): coeff})
-        for gid, e in mon:
-            dc = _coproduct_c(gid_index(gid))
-            for _ in range(e):
-                t = t * dc
-        add_into(result, t.terms)
-    return HopfTensor(result)
+    """Coproduct in the E basis, its terms keyed by (left, right) pairs of E-monomials."""
+    poly = convert(f, E).value
+    images = {gid: _coproduct_c(gid_index(gid)) for mon in poly.terms for gid, _ in mon}
+    delta = poly.substitute(images)
+    return LinearCombination({_tensor_pair(mon): c for mon, c in delta.terms.items()})
 
 
 def _primitive_defect(delta, terms):

@@ -86,6 +86,28 @@ class TestParserReuse:
         assert out == "(1,1,2)\n(1,3)\n(4)\n"
 
 
+class TestUsageErrors:
+    """The parser's own usage errors are JSON parse-errors on stdout, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["qsymm", "hilbert", "--bound", "x"], "invalid int value: 'x'"),
+            (["qsymm", "hilbert"], "required: --bound"),
+            (["sym", "identity-check"], "invalid choice: 'sym'"),
+        ],
+        ids=["bad-bound", "missing-bound", "unknown-subcommand"],
+    )
+    def test_parse_error_on_stdout(self, argv, needle, capsys):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["code"] == "parse-error"
+        assert needle in report["message"]
+        assert captured.err == ""
+
+
 class TestQsymmCommand:
     @pytest.mark.parametrize("text", ["arith:1", "arith:1:2:3", "odd:x", "set:", "set:3,,5", "set:a"])
     def test_malformed_profile(self, text, capsys):
@@ -157,6 +179,11 @@ class TestMzvCommand:
         assert code == 2
         assert json.loads(out)["code"] == "parse-error"
 
+    def test_unreachable_target_is_a_precision_error(self, capsys):
+        code, out = run(["mzv", "eval", "--index", "(2,3)", "--error", "1e-20"], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "precision-error"
+
     def test_depth_two_enclosure_meets_target(self, capsys):
         code, out = run(["mzv", "eval", "--index", "(1,2)", "--error", "1e-12"], capsys)
         assert code == 0
@@ -195,6 +222,14 @@ class TestTorCommand:
             s, t, total, dim = map(int, line.split(","))
             totals[total] += dim
         assert totals == H.polynomial_hilbert([6, 10], 40)
+
+    def test_malformed_degrees(self, capsys):
+        code, out = run(["tor", "--algebra", "exterior:3,x", "--bound", "8"], capsys)
+        assert code == 2
+        assert json.loads(out) == {
+            "code": "parse-error",
+            "message": "bad algebra degrees in 'exterior:3,x'",
+        }
 
     def test_unknown_kind(self, capsys):
         code, out = run(["tor", "--algebra", "divided:5", "--bound", "10"], capsys)
@@ -235,6 +270,24 @@ class TestGenusCommand:
         )
         assert code == 0
         assert json.loads(out)["value"] == "2/3"
+
+    def test_deform_skips_empty_entries(self, capsys):
+        argv = ["genus", "deform", "--manifold", "CP2", "--series", "Todd", "--t"]
+        code, out = run(argv + ["1:1/2,,3:1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["t"] == {"1": "1/2", "3": "1"}
+        assert run(argv + ["1:1/2,3:1"], capsys) == (0, out)
+
+    def test_malformed_deformation_entry(self, capsys):
+        code, out = run(["genus", "deform", "--manifold", "CP2", "--t", "1:x"], capsys)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "message": "bad deformation entry '1:x'"}
+
+    def test_unknown_series(self, capsys):
+        code, out = run(["genus", "compute", "--manifold", "CP2", "--series", "Foo"], capsys)
+        assert code == 1
+        assert json.loads(out)["code"] == "unknown-name"
 
     def test_unknown_manifold(self, capsys):
         code, out = run(["genus", "compute", "--manifold", "K3"], capsys)
@@ -311,6 +364,15 @@ class TestGenusCommand:
         code, out = run(["genus", "compute", "--manifold-file", str(path)], capsys)
         assert code == 1
         assert json.loads(out)["code"] == "parse-error"
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_manifold_file_is_a_config_error(self, capsys, tmp_path, where):
+        path = tmp_path / "none.json" if where == "missing" else tmp_path
+        code, out = run(["genus", "compute", "--manifold-file", str(path)], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["code"] == "config-error"
+        assert report["message"].startswith("cannot read manifold file %s: " % path)
 
     def test_manifold_file_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -424,6 +486,17 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"bogus": 1}))
         code, out = run(["series", "--which", "THH", "--bound", "4", "--config", str(cfg)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[]", '{"degree": 0}', '{"error": -1}', '{"model": "x"}', '{"format": "x"}'],
+    )
+    def test_invalid_config_value_exit_2(self, capsys, tmp_path, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, out = run(["series", "--which", "THH", "--bound", "4", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert json.loads(out)["code"] == "config-error"
 
     @pytest.mark.parametrize("degree", ['"x"', "null", "true", "2.5", '"30"', "[30]"])
     def test_non_integer_degree_in_config_exit_2(self, capsys, tmp_path, degree):

@@ -17,6 +17,7 @@ from hopfgenus.qsymm import polynomial_hilbert
 from hopfgenus.rational import Q, divide
 
 import former_series
+import former_symm
 from gauss_jordan import nullspace, rref
 
 
@@ -79,6 +80,17 @@ class TestConversions:
                 symm.partition_monomial(symm.M, (1, 1)): Q(1),
             }
         )
+
+    @pytest.mark.parametrize("const", [3, Q(3, 2), 3.5, 3 - 2j], ids=lambda c: type(c).__name__)
+    def test_constant_term_through_m(self, const):
+        # weight 0 runs the general code: m_() = p_() = 1
+        m21 = symm.partition_monomial(symm.M, (2, 1))
+        f = symm.SymmFn(symm.M, GradedPolynomial({(): const, m21: 1}))
+        in_p = symm.convert(f, symm.P)
+        assert in_p.value == parse_polynomial("N[1]*N[2] - N[3]") + const
+        assert type(in_p.value.terms[()]) is type(const)
+        back = symm.convert(in_p, symm.M)
+        assert _typed_terms(back.value) == _typed_terms(f.value)
 
     def test_e_to_m(self):
         e2 = symm.SymmFn(symm.E, symm.sym_gen(symm.E, 2))
@@ -435,6 +447,28 @@ class TestHopf:
             ], (model, k)
 
 
+class TestCoproductAgainstFormerPath:
+    """``coproduct`` against the frozen ``HopfTensor`` path, coefficient types included."""
+
+    def assert_same(self, f):
+        assert _typed_terms(symm.coproduct(f)) == _typed_terms(former_symm.coproduct(f))
+
+    def test_e_monomials_to_weight_8(self):
+        for w in range(9):
+            for lam in symm.partitions(w):
+                self.assert_same(
+                    symm.SymmFn(symm.E, GradedPolynomial({symm.partition_monomial(symm.E, lam): 1}))
+                )
+
+    @pytest.mark.parametrize("scale", [Q(2, 3), 0.1, 1.5 - 0.25j], ids=lambda c: type(c).__name__)
+    def test_multiples_of_c2_c3(self, scale):
+        self.assert_same(symm.SymmFn(symm.E, parse_polynomial("c[2]*c[3]") * scale))
+
+    @pytest.mark.parametrize("basis", [symm.P, symm.H])
+    def test_given_in_another_basis(self, basis):
+        self.assert_same(symm.convert(epoly("c[4] + c[2]^2"), basis))
+
+
 class TestDimensionCounts:
     def test_monomial_dimensions_all_weights(self):
         # monomials in one generator per weight: partitions of n
@@ -482,6 +516,20 @@ class TestArithmetic:
         direct = symm.convert(a * b, symm.P)
         indirect = symm.convert(a, symm.P) * symm.convert(b, symm.P)
         assert direct == indirect
+
+    def test_operators_across_bases(self):
+        # each operator against converting its operands first; a product
+        # with an M operand is taken in P, as M is not multiplicative
+        f, g = epoly("c[2] + 3*c[1]^2"), epoly("c[3] - 2*c[1]*c[2]")
+        for a in (symm.convert(f, basis) for basis in symm.BASES):
+            for b in (symm.convert(g, basis) for basis in symm.BASES):
+                b_in_a = symm.convert(b, a.basis).value
+                assert a + b == symm.SymmFn(a.basis, a.value + b_in_a), (a.basis, b.basis)
+                assert a - b == symm.SymmFn(a.basis, a.value - b_in_a), (a.basis, b.basis)
+                ring = symm.P if a.basis == symm.M else a.basis
+                want = symm.convert(a, ring).value * symm.convert(b, ring).value
+                assert a * b == symm.SymmFn(ring, want), (a.basis, b.basis)
+            assert a * Q(2, 3) == symm.SymmFn(a.basis, a.value * Q(2, 3)), a.basis
 
 
 def _snapshot_caches():
