@@ -81,7 +81,7 @@ def _effective_config(args):
         raise CLIError("config-error", "output must be a path or null, got %r" % (output,), 2)
     error = cfg["error"]
     if isinstance(error, bool) or not isinstance(error, (int, float)) or not math.isfinite(error):
-        raise CLIError("parse-error", "error must be a finite number, got %r" % (error,), 2)
+        raise CLIError("config-error", "error must be a finite number, got %r" % (error,), 2)
     if cfg["error"] <= 0:
         raise CLIError("config-error", "error must be positive", 2)
     if cfg["model"] not in MODELS:
@@ -187,11 +187,8 @@ def _parse_algebra(text, bound):
 
 
 def _cmd_tor(args, cfg):
-    # The algebra is truncated at --bound unless --degree is given on the
-    # command line.
     _check_size("--bound", args.bound)
-    truncation = args.degree if args.degree is not None else args.bound
-    table = homology.tor_via_bar(_parse_algebra(args.algebra, truncation), args.bound)
+    table = homology.tor_via_bar(_parse_algebra(args.algebra, args.bound), args.bound)
     rows = [(s, t, s + t, d) for s, t, d in table.nonzero()]
     rows.sort(key=lambda r: (r[2], r[0]))
     return _rows_text(("s", "t", "total", "dim"), rows, cfg), 0

@@ -107,6 +107,11 @@ class LinearCombination:
     def __init__(self, terms=None):
         self.terms = terms if terms is not None else {}
 
+    @classmethod
+    def one(cls):
+        """The unit: the empty key with coefficient 1."""
+        return cls({(): 1})
+
     def is_zero(self):
         return not self.terms
 
@@ -190,10 +195,6 @@ class GradedPolynomial(LinearCombination):
         if c == 0:
             return cls({})
         return cls({(): canonical(c)})
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
 
     @classmethod
     def generator(cls, family, index, degree=None, coeff=None):
@@ -601,9 +602,6 @@ class TruncatedSeries(_Series):
         for c in self.comps:
             add_into(total, c.terms)
         return GradedPolynomial(total)
-
-    def __neg__(self):
-        return TruncatedSeries([-a for a in self.comps])
 
     def _run(self, recurrence, *others):
         """Pack self and ``others`` on one layout, run ``recurrence`` on the

@@ -100,19 +100,16 @@ def point():
 _SYMBOL_POOL = "xyzuvwabcdefg"
 
 
-def cp(n, symbol="x"):
-    """Complex projective space with c(T) = (1+x)^(n+1)."""
+def cp(n):
+    """Complex projective space: x of degree 2 with x^(n+1) = 0 and
+    c(T) = (1+x)^(n+1), that is sum_{k<=n} C(n+1, k) x^k."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     if n == 0:
         return point()
-    gid = gen_id(symbol, 1, 2)
-    x = GradedPolynomial.generator(symbol, 1, degree=2)
-    total = (GradedPolynomial.one() + x) ** (n + 1)
-    total = GradedPolynomial(
-        {m: c for m, c in total.terms.items() if (not m) or m[0][1] <= n}
-    )
-    return ManifoldModel("CP%d" % n, n, ((symbol, gid, 2, n),), total, ((gid, n),))
+    gid = gen_id("x", 1, 2)
+    total = GradedPolynomial({((gid, k),) if k else (): math.comb(n + 1, k) for k in range(n + 1)})
+    return ManifoldModel("CP%d" % n, n, (("x", gid, 2, n),), total, ((gid, n),))
 
 
 def product(a, b):

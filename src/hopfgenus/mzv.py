@@ -59,9 +59,9 @@ sum_{n>N} n^{r-1} 2^{-n} <= 4 (N+1)^{r-1} 2^{-N-1} once
 2 (N+2)^{r-1} <= 3 (N+1)^{r-1} (successive terms shrink by 3/4).  The
 upper end of each factor is its lower end plus both counts.
 
-B and N are sized from the target, and escalate only if the certified
-radius misses it; the depth >= 2 terms of a QSymm element share one B and
-one N.  The sums stay exact intervals, a rational center and radius:
+B and N are sized once, so that these bounds meet the target and each
+word is summed once; the depth >= 2 terms of a QSymm element share one B
+and one N.  The sums stay exact intervals, a rational center and radius:
 the stuffle check compares their ends exactly, and each is rounded once,
 for output, into a CertifiedReal: the value is the float nearest its
 midpoint, the radius the distance to the farther end, rounded up and at
@@ -69,10 +69,13 @@ least one ulp of the value.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import floordiv, rshift
+
+from .core import InvariantError
 
 _BLOCK = 1 << 21
 MAX_TERMS = 1 << 27
@@ -227,17 +230,10 @@ def _terms(B, r):
     def ok(N):
         return _ratio_below_three_quarters(N, r) and _tail_units(N, r, B) <= N
 
-    lo, step = B - 1, 1  # ok(lo) is false or lo < B
-    while not ok(lo + step):
-        lo, step = lo + step, 2 * step
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = max(B, 1)  # doubling 0 stays 0
+    while not ok(hi):
+        hi *= 2
+    return B + bisect_left(range(B, hi + 1), True, key=ok)
 
 
 def _suffix_polylogs(index, B, N, levels):
@@ -290,12 +286,12 @@ def _nested_eval(words, target, center=0, radius=0):
     already enclose the rest of a sum.  All words share one B, one N and
     the levels of their sweeps; the c*lo and c*hi ends are summed exactly.
     Returns the exact (center, radius) and the CertifiedReal that rounds
-    it once, at the first B whose rounding meets the target.
+    it once; PrecisionError if that rounding misses the target.
     """
     slack = Fraction(target) - radius
     r = max(max(len(idx), sum(idx) - len(idx)) for idx, _ in words)  # the deepest suffix
     scale = math.ceil(sum(abs(c) * (sum(idx) + 1) for idx, c in words))
-    need = max(0, math.ceil(-math.log2(slack)))
+    need = ((slack.denominator - 1) // slack.numerator).bit_length()  # least: 2^need slack >= 1
     B = need + 8
     while True:
         N = _terms(B, r)
@@ -303,25 +299,25 @@ def _nested_eval(words, target, center=0, radius=0):
         # half width of a word is at most (weight + 1)(2N + r + 1) 2^-B:
         # size B for slack / 4
         B_min = need + (4 * scale * (2 * N + r + 1)).bit_length()
-        if B < B_min:
-            B = B_min
-            continue
-        levels, lo, hi = {}, 0, 0
-        for idx, c in words:
-            a, b = _holder_interval(idx, B, N, levels)
-            lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
-        half = Fraction(hi - lo, 1 << (2 * B + 1))
-        exact = (center + Fraction(lo + hi, 1 << (2 * B + 1)), radius + half)
-        enc = _enclose(*exact)
-        if enc.error_bound <= target:
-            return exact, enc
-        if half <= slack / 4:
-            what = words[0][0] if len(words) == 1 else "a sum of %d multizeta values" % len(words)
-            raise PrecisionError(
-                "cannot certify %s to %g: the float value %r has radius at least %g"
-                % (what, target, enc.value, enc.error_bound)
-            )
-        B += 8
+        if B >= B_min:
+            break
+        B = B_min
+    levels, lo, hi = {}, 0, 0
+    for idx, c in words:
+        a, b = _holder_interval(idx, B, N, levels)
+        lo, hi = (lo + c * a, hi + c * b) if c > 0 else (lo + c * b, hi + c * a)
+    half = Fraction(hi - lo, 1 << (2 * B + 1))
+    if half > slack / 4:  # the sizing above rules this out
+        raise InvariantError("half width %g exceeds slack / 4 at B = %d" % (half, B))
+    exact = (center + Fraction(lo + hi, 1 << (2 * B + 1)), radius + half)
+    enc = _enclose(*exact)
+    if enc.error_bound > target:
+        what = words[0][0] if len(words) == 1 else "a sum of %d multizeta values" % len(words)
+        raise PrecisionError(
+            "cannot certify %s to %g: the float value %r has radius at least %g"
+            % (what, target, enc.value, enc.error_bound)
+        )
+    return exact, enc
 
 
 def _check_target(target_error):
@@ -371,10 +367,10 @@ def zeta_specialize(q, target_error=1e-8):
 
     Each depth-1 term gets target_error / (number of terms) / max(1, |c|)
     through ``mzv_eval``.  The depth >= 2 terms share the rest of the
-    target: one B and one N for all of them, with each level of their
-    sweeps computed once.  The exact rational coefficients scale the
+    target: one B and one N for all of them, sized once, with each level
+    of their sweeps computed once.  The exact rational coefficients scale the
     exact interval ends and the depth-1 enclosures, and the sum is
-    rounded once, outward; B grows only if its radius misses the target.
+    rounded once, outward.
     """
     return _specialize(q, target_error)[1]
 

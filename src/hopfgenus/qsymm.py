@@ -51,16 +51,8 @@ class QSymmElement(LinearCombination):
     def monomial(cls, alpha, coeff=None):
         return cls({check_composition(alpha): 1 if coeff is None else canonical(coeff)})
 
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
     def __mul__(self, other):
         return quasi_shuffle(self, other)
-
-    def weight(self):
-        """Max composition weight appearing."""
-        return max((sum(a) for a in self.terms), default=0)
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -128,10 +120,6 @@ class NSymmElement(LinearCombination):
     @classmethod
     def word(cls, w, coeff=None):
         return cls({check_composition(w): 1 if coeff is None else canonical(coeff)})
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
 
     def __mul__(self, other):
         out = {}

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from hopfgenus import cli, symm
 from hopfgenus import homology as H
 from hopfgenus.core import GradedPolynomial
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -169,7 +172,7 @@ class TestMzvCommand:
     def test_non_finite_error_exit_2(self, capsys, error):
         code, out = run(["mzv", "eval", "--index", "(3)", "--error=" + error], capsys)
         assert code == 2
-        assert json.loads(out)["code"] == "parse-error"
+        assert json.loads(out)["code"] == "config-error"
 
     @pytest.mark.parametrize("error", ["NaN", "Infinity", '"1e-8"', "true"])
     def test_non_number_error_in_config_exit_2(self, capsys, tmp_path, error):
@@ -177,7 +180,7 @@ class TestMzvCommand:
         cfg.write_text('{"error": %s}' % error)
         code, out = run(["mzv", "eval", "--index", "(2,3)", "--config", str(cfg)], capsys)
         assert code == 2
-        assert json.loads(out)["code"] == "parse-error"
+        assert json.loads(out)["code"] == "config-error"
 
     def test_unreachable_target_is_a_precision_error(self, capsys):
         code, out = run(["mzv", "eval", "--index", "(2,3)", "--error", "1e-20"], capsys)
@@ -206,10 +209,12 @@ class TestTorCommand:
     def test_negative_bound(self, extra, capsys):
         assert_flag_rejected(["tor", "--algebra", "exterior:5", "--bound", "-3"] + extra, "--bound", capsys)
 
-    def test_bound_guard(self, capsys):
-        code, out = run(["tor", "--algebra", "exterior:5", "--bound", "40", "--degree", "30"], capsys)
-        assert code == 1
-        assert json.loads(out)["code"] == "value-error"
+    @pytest.mark.parametrize("degree", ["10", "30"])
+    def test_degree_does_not_truncate(self, degree, capsys):
+        argv = ["tor", "--algebra", "exterior:5,9", "--bound", "20", "--degree", degree, "--format", "csv"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert "exit 0\n" + out == (GOLDEN / "tor-exterior.csv.out").read_text()
 
     def test_algebra_truncated_at_bound(self, capsys):
         code, out = run(["tor", "--algebra", "exterior:5,9", "--bound", "40", "--format", "csv"], capsys)

@@ -249,6 +249,11 @@ class TestAddInto:
         assert 1 - p == poly("1 - c[1] - 2*c[2]")
         assert type(a + b) is QSymmElement and type(p - p) is GradedPolynomial
 
+    @pytest.mark.parametrize("cls", [GradedPolynomial, QSymmElement, NSymmElement])
+    def test_one_is_the_empty_key(self, cls):
+        one = cls.one()
+        assert type(one) is cls and _bits(one.terms) == {(): (int, 1)}
+
 
 def _bits(terms):
     """Term dict with coefficient types and float bits, so that 2 and

@@ -35,6 +35,16 @@ class TestManifoldModels:
         x = G.GradedPolynomial.generator("x", 1, degree=2)
         assert cp2.total_chern == GradedPolynomial.one() + x * 3 + (x * x) * 3
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cp_chern_class_is_the_truncated_binomial(self, n):
+        # the former construction: (1 + x)^(n+1) with x^(n+1) dropped
+        x = G.GradedPolynomial.generator("x", 1, degree=2)
+        power = ((GradedPolynomial.one() + x) ** (n + 1)).terms
+        top = ((gen_id("x", 1, 2), n + 1),)
+        terms = G.cp(n).total_chern.terms
+        assert terms == {m: c for m, c in power.items() if m != top}
+        assert all(type(c) is int for c in terms.values())
+
     def test_pairing_top_degree_only(self, cp2):
         x = G.GradedPolynomial.generator("x", 1, degree=2)
         assert cp2.pairing(x * x) == 1

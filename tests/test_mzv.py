@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hopfgenus import mzv, qsymm
+from hopfgenus.core import InvariantError
 from hopfgenus.qsymm import QSymmElement, quasi_shuffle
 from hopfgenus.rational import Q
 
@@ -218,6 +219,20 @@ class TestHolderEvaluator:
 def test_precision_error_below_float_resolution():
     with pytest.raises(mzv.PrecisionError):
         mzv.mzv_eval((2, 3), 1e-20)
+
+
+def test_a_half_width_past_the_sizing_is_an_invariant_error(monkeypatch):
+    # B is sized so that the half width is at most slack / 4; a wider
+    # interval means a bound in the sizing is wrong, not a short B
+    holder = mzv._holder_interval
+
+    def widened(*args):
+        lo, hi = holder(*args)
+        return lo, hi + 4 * (hi - lo)
+
+    monkeypatch.setattr(mzv, "_holder_interval", widened)
+    with pytest.raises(InvariantError):
+        mzv._nested_eval([((2, 2), 1)], 1e-9)
 
 
 # The earlier depth >= 2 evaluator, kept here as a reference: long-double
