@@ -1,9 +1,10 @@
 """The acceptance suite: one check per numbered criterion.
 
-Each check returns (status, detail) with status "pass", "fail" or
-"skipped"; run_all wraps them with timings and never lets a lowered
-truncation degree produce a false failure (checks that need more degree
-report "skipped").  Tolerances are pinned here and nowhere else.
+Each check takes the truncation degree and returns (status, detail) with
+status "pass", "fail" or "skipped"; run_all wraps them with timings and
+never lets a lowered truncation degree produce a false failure (checks
+that need more degree report "skipped").  Tolerances and the random seed
+are pinned here and nowhere else.
 """
 
 import math
@@ -18,20 +19,21 @@ from .rational import Q, divide
 GAMMA_TOL = 1e-10
 ZETA2_TOL = 1e-8
 EULER_TOL = 2e-8
+SEED = 20240901  # of the torsor-law and stuffle trials
 
 
-def _check_d_class_identity(config):
-    if config.degree < 30:
-        return "skipped", "needs truncation degree 30, have %d" % config.degree
+def _check_d_class_identity(degree):
+    if degree < 30:
+        return "skipped", "needs truncation degree 30, have %d" % degree
     k = symm.d_class_mismatch(30)
     if k is not None:
         return "fail", "first mismatch at weight %d" % k
     return "pass", "quotient = exp-product form, all weights <= 30"
 
 
-def _check_a_class_structure(config):
-    if config.degree < 13:
-        return "skipped", "needs truncation degree 13, have %d" % config.degree
+def _check_a_class_structure(degree):
+    if degree < 13:
+        return "skipped", "needs truncation degree 13, have %d" % degree
     k = symm.a_class_mismatch(13)
     if k is not None:
         if k % 2:
@@ -40,9 +42,9 @@ def _check_a_class_structure(config):
     return "pass", "a_odd decomposable, a_2i = 2 b_2i mod I^2, i <= 6"
 
 
-def _check_primitives(config):
-    if config.degree < 12:
-        return "skipped", "needs truncation degree 12, have %d" % config.degree
+def _check_primitives(degree):
+    if degree < 12:
+        return "skipped", "needs truncation degree 12, have %d" % degree
     for k in range(1, 13):
         basis = symm.primitive_space(k, symm.BU_MOD_SO)
         want = 1 if k % 2 == 1 else 0
@@ -61,7 +63,7 @@ def _check_primitives(config):
     return "pass", "BUmodSO primitives: dim 1 in odd weights, spanned by N_k"
 
 
-def _check_diagonal_vanishing(config):
+def _check_diagonal_vanishing(degree):
     for n in range(1, 7):
         m = genus_mod.cp(n)
         for k in range(1, 2 * n, 2):
@@ -70,7 +72,7 @@ def _check_diagonal_vanishing(config):
     return "pass", "ch_odd(TM + conj TM) = 0 on CP^n, n <= 6"
 
 
-def _check_primitivity(config):
+def _check_primitivity(degree):
     models = [genus_mod.cp(1), genus_mod.cp(2), genus_mod.cp(3)]
     for a in models:
         for b in models:
@@ -89,8 +91,8 @@ def _random_params(rng, indices):
     return genus_mod.DeformationParameters.from_dict(d)
 
 
-def _check_torsor_law(config):
-    rng = random.Random(config.seed)
+def _check_torsor_law(degree):
+    rng = random.Random(SEED)
     rho = genus_mod.a_hat_series(8)
     models = [
         genus_mod.cp(1),
@@ -117,7 +119,7 @@ def _check_torsor_law(config):
     return "pass", "20 random torsor-law trials, exact"
 
 
-def _check_genus_engine(config):
+def _check_genus_engine(degree):
     ahat = genus_mod.a_hat_series(8)
     if genus_mod.genus(genus_mod.cp(2), ahat) != Q(-1, 8):
         return "fail", "Ahat(CP2) != -1/8"
@@ -135,7 +137,7 @@ def _check_genus_engine(config):
     return "pass", "Ahat/Todd values and exponential cross-path, exact"
 
 
-def _check_gamma_exponential(config):
+def _check_gamma_exponential(degree):
     src = genus_mod.NumericZetaSource(1e-13)
     ge = genus_mod.gamma_exponential(5, src)
     g = genus_mod.EULER_GAMMA
@@ -148,9 +150,9 @@ def _check_gamma_exponential(config):
     return "pass", "1/Gamma coefficients through x^4 within %g" % GAMMA_TOL
 
 
-def _check_koszul_duality(config):
-    if config.degree < 24:
-        return "skipped", "needs truncation degree 24, have %d" % config.degree
+def _check_koszul_duality(degree):
+    if degree < 24:
+        return "skipped", "needs truncation degree 24, have %d" % degree
     ext = homology.exterior_algebra([5, 9], 24)
     tor = homology.tor_via_bar(ext, 24)
     if tor.total_series() != homology.polynomial_hilbert([6, 10], 24):
@@ -162,7 +164,7 @@ def _check_koszul_duality(config):
     return "pass", "Tate/Koszul duality and tensor-coalgebra side, exact"
 
 
-def _check_qsymm_polynomiality(config):
+def _check_qsymm_polynomiality(degree):
     profile = qsymm.GeneratorProfile.all_positive()
     dims = qsymm.free_algebra_hilbert(profile, 12, "polynomial-on-lyndon")
     want = [1] + [2 ** (n - 1) for n in range(1, 13)]
@@ -174,7 +176,7 @@ def _check_qsymm_polynomiality(config):
 _STUFFLE_POOL = [(2,), (3,), (4,), (2, 2)]
 
 
-def _check_mzv(config):
+def _check_mzv(degree):
     z2 = mzv.mzv_eval((2,), 1e-9)
     target = math.pi**2 / 6
     if abs(z2.value - target) > ZETA2_TOL or not z2.contains(target):
@@ -183,7 +185,7 @@ def _check_mzv(config):
     z3 = mzv.mzv_eval((3,), 1e-10)
     if abs(euler.value - z3.value) > EULER_TOL:
         return "fail", "zeta(1,2) vs zeta(3): %g" % abs(euler.value - z3.value)
-    rng = random.Random(config.seed)
+    rng = random.Random(SEED)
     for trial in range(10):
         a = qsymm.QSymmElement.monomial(rng.choice(_STUFFLE_POOL))
         pool_b = [w for w in _STUFFLE_POOL if sum(next(iter(a.terms))) + sum(w) <= 6]
@@ -233,7 +235,7 @@ def _oracle_partitions(parts, bound):
     return [count(n, tuple(sorted(parts))) for n in range(bound + 1)]
 
 
-def _check_series_tables(config):
+def _check_series_tables(degree):
     bound = 20
     ext_deg = [d for d in range(5, bound + 1, 4)]
     pol_deg = [d for d in range(2, bound + 1, 4)]
@@ -254,9 +256,9 @@ def _check_series_tables(config):
     return "pass", "sOmega / KTheoryFiber / THH tables match oracles to degree 20"
 
 
-def _check_coaction(config):
-    if config.degree < 12:
-        return "skipped", "needs retained degree 12, have %d" % config.degree
+def _check_coaction(degree):
+    if degree < 12:
+        return "skipped", "needs retained degree 12, have %d" % degree
     m = genus_mod.cp(2)
     classes = [
         GradedPolynomial.one(),
@@ -288,28 +290,18 @@ CRITERIA = [
 ]
 
 
-class AcceptanceConfig:
-    """Truncation degree and random seed; the tolerances are the pinned
-    module constants, not configuration."""
-
-    def __init__(self, degree=30, seed=20240901):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.degree = degree
-        self.seed = seed
-
-
-def run_all(config=None, only=None):
-    """Run the criteria; returns a list of result dicts sorted by id."""
-    if config is None:
-        config = AcceptanceConfig()
+def run_all(degree=30, only=None):
+    """Run the criteria at truncation degree ``degree``; returns a list
+    of result dicts sorted by id."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
     results = []
     for cid, name, fn in CRITERIA:
         if only is not None and cid not in only:
             continue
         start = time.monotonic()
         try:
-            status, detail = fn(config)
+            status, detail = fn(degree)
         except Exception as exc:  # a crash is a failure, not an abort
             status, detail = "fail", "exception: %s" % exc
         results.append(

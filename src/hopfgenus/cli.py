@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-One executable, one subcommand per module.  Config precedence is
+One executable, one subcommand per module.  Each subcommand takes
+``--config``, ``--output`` and a flag for each config key that it reads;
+a flag it does not read is a usage error.  The config file may set all
+five keys, so one file serves every subcommand.  Config precedence is
 flags > config file > defaults, and the effective config is echoed into
 every JSON report.  Each subcommand handler returns its report text and
 exit code; ``main`` writes the text once, to ``--output`` or stdout.
@@ -122,7 +125,7 @@ def _rows_text(header, rows, cfg):
 
 def _check_size(flag, value, least=0):
     # size flags are checked where they enter, before any library call
-    if value is not None and value < least:
+    if value < least:
         rule = "at least %d" % least if least else "nonnegative"
         raise CLIError("parse-error", "%s must be %s, got %d" % (flag, rule, value), 2)
 
@@ -133,10 +136,9 @@ def _check_size(flag, value, least=0):
 
 def _cmd_symm(args, cfg):
     _check_size("--max-weight", args.max_weight)
-    bound = args.max_weight if args.max_weight is not None else min(cfg["degree"], 20)
     check = symm.d_class_mismatch if args.which == "d-classes" else symm.a_class_mismatch
-    mismatch = check(bound)
-    report = {"identity": args.which, "max_weight": bound, "status": "exact-match"}
+    mismatch = check(args.max_weight)
+    report = {"identity": args.which, "max_weight": args.max_weight, "status": "exact-match"}
     if mismatch is not None:
         report.update(status="mismatch", first_mismatch_weight=mismatch)
     return _report(cfg, **report), 0 if mismatch is None else 1
@@ -282,12 +284,11 @@ def _cmd_coaction(args, cfg):
 def _cmd_acceptance(args, cfg):
     from . import acceptance as acceptance_mod  # only this command runs the suite
 
-    config = acceptance_mod.AcceptanceConfig(degree=cfg["degree"])
     only = set(args.only) if args.only else None
     unknown = sorted(only - {cid for cid, _, _ in acceptance_mod.CRITERIA}) if only else []
     if unknown:
         raise CLIError("parse-error", "--only: unknown criterion ids %s" % unknown, 2)
-    results = acceptance_mod.run_all(config, only=only)
+    results = acceptance_mod.run_all(cfg["degree"], only=only)
     ok = acceptance_mod.all_passed(results)
     code = 0 if ok else 1
     if cfg["format"] == "json":
@@ -305,17 +306,19 @@ def _cmd_acceptance(args, cfg):
 # parser
 
 
-def _add_common(sub):
+_OPTIONS = {
+    "degree": dict(type=int, help="truncation degree; a criterion that needs more is skipped"),
+    "error": dict(type=float, help="float target error"),
+    "model": dict(choices=MODELS, help="generator-start convention"),
+    "format": dict(choices=FORMATS, help="output format"),
+}
+
+
+def _add_common(sub, *keys):
+    # --config, --output and the config keys that the subcommand reads
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--degree", type=int, help="truncation degree")
-    sub.add_argument("--error", type=float, help="float target error")
-    sub.add_argument("--model", choices=MODELS, help="generator-start convention")
-    sub.add_argument(
-        "--format",
-        choices=FORMATS,
-        help="output format; symm, mzv, genus and coaction print their JSON"
-        " report for every format",
-    )
+    for key in keys:
+        sub.add_argument("--" + key, **_OPTIONS[key])
     sub.add_argument("--output", help="output path (default stdout)")
 
 
@@ -326,7 +329,7 @@ def build_parser():
     s = subs.add_parser("symm", help="symmetric-function identity checks")
     s.add_argument("action", choices=["identity-check"])
     s.add_argument("--which", required=True, choices=["d-classes", "a-classes"])
-    s.add_argument("--max-weight", type=int)
+    s.add_argument("--max-weight", type=int, default=20, help="largest weight checked (default 20)")
     _add_common(s)
     s.set_defaults(fn=_cmd_symm)
 
@@ -339,19 +342,19 @@ def build_parser():
         choices=["associative", "lie", "polynomial-on-lyndon"],
     )
     s.add_argument("--bound", type=int, required=True)
-    _add_common(s)
+    _add_common(s, "format")
     s.set_defaults(fn=_cmd_qsymm)
 
     s = subs.add_parser("mzv", help="certified multizeta evaluation")
     s.add_argument("action", choices=["eval"])
     s.add_argument("--index", required=True)
-    _add_common(s)
+    _add_common(s, "error")
     s.set_defaults(fn=_cmd_mzv)
 
     s = subs.add_parser("tor", help="bar-complex Tor tables")
     s.add_argument("--algebra", required=True)
     s.add_argument("--bound", type=int, required=True)
-    _add_common(s)
+    _add_common(s, "format")
     s.set_defaults(fn=_cmd_tor)
 
     s = subs.add_parser("series", help="named coefficient-ring series")
@@ -361,7 +364,7 @@ def build_parser():
         choices=[homology.SOMEGA, homology.THH, homology.K_THEORY_FIBER],
     )
     s.add_argument("--bound", type=int, required=True)
-    _add_common(s)
+    _add_common(s, "model", "format")
     s.set_defaults(fn=_cmd_series)
 
     s = subs.add_parser("genus", help="genus computation and deformation")
@@ -370,7 +373,8 @@ def build_parser():
     s.add_argument("--manifold-file")
     s.add_argument("--series", default="A-hat")
     s.add_argument("--t", default="")
-    _add_common(s)
+    _add_common(s, "model")
+    s.add_argument("--format", choices=FORMATS, help="genus prints its JSON report for every format")
     s.set_defaults(fn=_cmd_genus)
 
     s = subs.add_parser("coaction", help="comodule coaction on a manifold class")
@@ -381,12 +385,9 @@ def build_parser():
     _add_common(s)
     s.set_defaults(fn=_cmd_coaction)
 
-    s = subs.add_parser(
-        "acceptance",
-        help="run the acceptance suite with its pinned tolerances (--error is not used)",
-    )
+    s = subs.add_parser("acceptance", help="run the acceptance suite with its pinned tolerances")
     s.add_argument("--only", type=int, nargs="*")
-    _add_common(s)
+    _add_common(s, "degree", "format")
     s.set_defaults(fn=_cmd_acceptance)
 
     return p

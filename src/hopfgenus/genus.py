@@ -315,19 +315,7 @@ def series_from_exponential(f):
 
 def multiplicative_class(model, q_series):
     """prod Q(x_i) specialized to the model's Chern data, exactly."""
-    n = model.dim_c
-    if n == 0:
-        return GradedPolynomial.one()
-    if q_series.bound < n:
-        raise ValueError("series truncated below the dimension")
-    if not all(is_exact(c) for c in q_series.coeffs):
-        raise ValueError("multiplicative_class needs exact coefficients")
-    # prod Q(x_i) = exp(sum_m l_m N_m(tau)) with l = log Q
-    l = PowerSeries1(q_series.coeffs[: n + 1]).log().coeffs
-    arg = {}
-    for m, nm in enumerate(_newton_classes(model), 1):
-        add_into(arg, (nm * l[m]).terms)
-    return _ring_exp(model, GradedPolynomial(arg))
+    return _ring_exp(model, _exp_argument(model, q_series))
 
 
 def genus(model, q_series):
@@ -418,17 +406,33 @@ def _numeric_kind(values):
     return kind
 
 
-def deformation_exponential(model, params, include_ch1=True):
-    """exp(sum_k t_k ch_k(tau)), a unit in the cohomology ring; its constant term is the int 1.
+def _exp_argument(model, q_series=None, params=DeformationParameters(), include_ch1=True):
+    """sum_m l_m N_m(tau) + sum_k t_k ch_k(tau), with l = log Q.
 
-    Each term ch_k * t_k has t_k's kind (N_k * (t_k / k!) measured less accurate).
+    Its ring exp is the class prod Q(x_i) times exp(sum_k t_k ch_k): the
+    cohomology ring is commutative.  Each term ch_k * t_k has t_k's kind
+    (N_k * (t_k / k!) measured less accurate).
     """
+    n = model.dim_c
     newton = _newton_classes(model)
     arg = {}
+    if q_series is not None and n:
+        if q_series.bound < n:
+            raise ValueError("series truncated below the dimension")
+        if not all(is_exact(c) for c in q_series.coeffs):
+            raise ValueError("multiplicative_class needs exact coefficients")
+        l = PowerSeries1(q_series.coeffs[: n + 1]).log().coeffs
+        for m, nm in enumerate(newton, 1):
+            add_into(arg, (nm * l[m]).terms)
     for k, v in params.entries:
         if include_ch1 or k != 1:
             add_into(arg, (_ch_from_newton(newton, k) * v).terms)
-    return _ring_exp(model, GradedPolynomial(arg))
+    return GradedPolynomial(arg)
+
+
+def deformation_exponential(model, params, include_ch1=True):
+    """exp(sum_k t_k ch_k(tau)), a unit in the cohomology ring; its constant term is the int 1."""
+    return _ring_exp(model, _exp_argument(model, params=params, include_ch1=include_ch1))
 
 
 def _ring_exp(model, arg):
@@ -443,15 +447,12 @@ def _ring_exp(model, arg):
 
 
 def deform_genus(model, q_series, params, include_ch1=True):
-    """Pairing of exp(sum t_k ch_k) . (class of Q) with [M]."""
-    expo = deformation_exponential(model, params, include_ch1)
+    """Pairing of exp(sum t_k ch_k) . (class of Q) with [M], taken as
+    one ring exp of the summed arguments."""
     kind = _numeric_kind([v for _, v in params.entries])
-    kclass = multiplicative_class(model, q_series)
-    if kind is not None:
-        kclass = kclass.map_coefficients(kind)
     # the pairing reads only the volume monomial, which reduce never drops;
     # an absent one is the int 0, so it takes t's kind too
-    value = model.pairing(expo * kclass)
+    value = model.pairing(_ring_exp(model, _exp_argument(model, q_series, params, include_ch1)))
     return value if kind is None else kind(value)
 
 

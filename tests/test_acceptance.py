@@ -9,8 +9,6 @@ import pytest
 
 from hopfgenus import acceptance
 
-CONFIG = acceptance.AcceptanceConfig(degree=30, seed=20240901)
-
 _BY_ID = {cid: (name, fn) for cid, name, fn in acceptance.CRITERIA}
 
 
@@ -21,7 +19,7 @@ _BY_ID = {cid: (name, fn) for cid, name, fn in acceptance.CRITERIA}
 )
 def test_criterion(cid):
     name, fn = _BY_ID[cid]
-    status, detail = fn(CONFIG)
+    status, detail = fn(30)
     if status == "skipped":
         pytest.skip(detail)
     assert status == "pass", "criterion %d (%s): %s" % (cid, name, detail)

@@ -1,13 +1,10 @@
 import json
-from pathlib import Path
 
 import pytest
 
 from hopfgenus import cli, symm
 from hopfgenus import homology as H
 from hopfgenus.core import GradedPolynomial
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -66,6 +63,15 @@ class TestSymmCommand:
         assert report["status"] == "mismatch"
         assert report["first_mismatch_weight"] == weight
 
+    def test_weight_does_not_follow_the_degree(self, capsys, tmp_path):
+        # degree is the acceptance truncation; symm reads --max-weight alone
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree": 8}))
+        code, out = run(["symm", "identity-check", "--which", "a-classes", "--config", str(cfg)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["max_weight"], report["config"]["degree"]) == (20, 8)
+
     def test_negative_max_weight(self, capsys):
         argv = ["symm", "identity-check", "--which", "d-classes", "--max-weight", "-3"]
         assert_flag_rejected(argv, "--max-weight", capsys)
@@ -109,6 +115,53 @@ class TestUsageErrors:
         assert report["code"] == "parse-error"
         assert needle in report["message"]
         assert captured.err == ""
+
+
+# a minimal valid command line of each subcommand and the config keys it reads
+_COMMANDS = {
+    "symm": (["symm", "identity-check", "--which", "d-classes", "--max-weight", "4"], ()),
+    "qsymm": (["qsymm", "lyndon", "--bound", "4"], ("format",)),
+    "mzv": (["mzv", "eval", "--index", "(2)"], ("error",)),
+    "tor": (["tor", "--algebra", "exterior:3", "--bound", "6"], ("format",)),
+    "series": (["series", "--which", "THH", "--bound", "4"], ("model", "format")),
+    "genus": (["genus", "compute", "--manifold", "CP1"], ("model", "format")),
+    "coaction": (["coaction", "--manifold", "CP1", "--bound", "4"], ()),
+    "acceptance": (["acceptance", "--only", "10"], ("degree", "format")),
+}
+_FLAG_VALUES = {"degree": "12", "error": "1e-6", "model": "igt0", "format": "json"}
+
+
+class TestSubcommandOptions:
+    """Each subcommand takes --config, --output and the config keys it reads."""
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_only_the_keys_it_reads(self, command, capsys):
+        argv, keys = _COMMANDS[command]
+        for key, value in _FLAG_VALUES.items():
+            code, out = run(argv + ["--" + key, value], capsys)
+            if key in keys:
+                assert code == 0, (key, out)
+            else:
+                assert code == 2, key
+                assert json.loads(out) == {
+                    "code": "parse-error",
+                    "message": "unrecognized arguments: --%s %s" % (key, value),
+                }
+
+    def test_config_file_sets_every_key(self, capsys, tmp_path):
+        # one config file serves every subcommand; each echoes the keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"degree": 12, "error": 1e-6, "model": "igt0"}))
+        for command in ("symm", "mzv", "genus", "coaction"):
+            argv, _ = _COMMANDS[command]
+            code, out = run(argv + ["--config", str(cfg)], capsys)
+            assert code == 0, command
+            assert json.loads(out)["config"] == {
+                "degree": 12,
+                "error": 1e-6,
+                "model": "igt0",
+                "format": "text",
+            }
 
 
 class TestQsymmCommand:
@@ -205,16 +258,19 @@ class TestTorCommand:
         assert lines[0] == "s,t,total,dim"
         assert "1,5,6,1" in lines
 
-    @pytest.mark.parametrize("extra", [[], ["--degree", "10"]])
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
     def test_negative_bound(self, extra, capsys):
         assert_flag_rejected(["tor", "--algebra", "exterior:5", "--bound", "-3"] + extra, "--bound", capsys)
 
     @pytest.mark.parametrize("degree", ["10", "30"])
-    def test_degree_does_not_truncate(self, degree, capsys):
+    def test_degree_is_a_parse_error(self, degree, capsys):
+        # tor truncates the algebra at --bound and takes no --degree
         argv = ["tor", "--algebra", "exterior:5,9", "--bound", "20", "--degree", degree, "--format", "csv"]
         code, out = run(argv, capsys)
-        assert code == 0
-        assert "exit 0\n" + out == (GOLDEN / "tor-exterior.csv.out").read_text()
+        assert code == 2
+        report = json.loads(out)
+        assert report["code"] == "parse-error"
+        assert "--degree" in report["message"]
 
     def test_algebra_truncated_at_bound(self, capsys):
         code, out = run(["tor", "--algebra", "exterior:5,9", "--bound", "40", "--format", "csv"], capsys)
@@ -457,26 +513,13 @@ class TestCoactionCommand:
 class TestConfigHandling:
     def test_file_then_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"degree": 8}))
-        code, out = run(
-            ["symm", "identity-check", "--which", "d-classes", "--config", str(cfg)],
-            capsys,
-        )
+        cfg.write_text(json.dumps({"degree": 8, "format": "json"}))
+        argv = ["acceptance", "--only", "4", "--config", str(cfg)]
+        code, out = run(argv, capsys)
         assert code == 0
         assert json.loads(out)["config"]["degree"] == 8
-        code, out = run(
-            [
-                "symm",
-                "identity-check",
-                "--which",
-                "d-classes",
-                "--config",
-                str(cfg),
-                "--degree",
-                "6",
-            ],
-            capsys,
-        )
+        code, out = run(argv + ["--degree", "6"], capsys)
+        assert code == 0
         assert json.loads(out)["config"]["degree"] == 6
 
     def test_malformed_config_exit_2(self, capsys, tmp_path):

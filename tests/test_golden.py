@@ -1,8 +1,10 @@
 """Byte-identical output: the README's CLI examples, the acceptance lines
 and the ``--help`` texts.
 
-Every CLI example in the README is run in each output format and its
-stdout compared byte for byte with a file under ``tests/golden/``.  The
+Every CLI example in the README is run in each output format that its
+subcommand takes, and its stdout compared byte for byte with a file under
+``tests/golden/``.  An example whose subcommand takes no ``--format``
+runs once, and its golden is the ``.text.out`` file.  The
 acceptance suite is pinned by its status lines without the timings.  The
 ``--help`` text of the top-level parser and of each subcommand is pinned
 at ``COLUMNS=80``, the width argparse wraps it to.
@@ -26,23 +28,24 @@ from hopfgenus import acceptance, cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (name, argv without --format), one per README example
-EXAMPLES = [
-    ("symm-d-classes", "symm identity-check --which d-classes --max-weight 20"),
-    ("symm-a-classes", "symm identity-check --which a-classes --max-weight 20"),
-    ("qsymm-hilbert", "qsymm hilbert --flavor associative --bound 12"),
-    ("qsymm-lyndon", "qsymm lyndon --bound 6"),
-    ("mzv-eval", "mzv eval --index (2,3) --error 1e-8"),
-    ("tor-exterior", "tor --algebra exterior:5,9 --bound 20"),
-    ("series-thh", "series --which THH --bound 16"),
-    ("series-ktheory", "series --which KTheoryFiber --bound 16 --model igt0"),
-    ("genus-compute", "genus compute --manifold CP2 --series A-hat"),
-    ("genus-deform", "genus deform --manifold CP1 --series A-hat --t 1:1/3,3:0"),
-    ("genus-file", "genus compute --manifold-file {manifold} --series Todd"),
-    ("coaction", "coaction --manifold CP1 --class 1 --bound 8"),
-]
 FORMATS = ("text", "json", "csv")
-CASES = [(name, argv, fmt) for name, argv in EXAMPLES for fmt in FORMATS]
+# (name, argv without --format, formats to pass), one per README example;
+# None runs the example without --format
+EXAMPLES = [
+    ("symm-d-classes", "symm identity-check --which d-classes --max-weight 20", (None,)),
+    ("symm-a-classes", "symm identity-check --which a-classes --max-weight 20", (None,)),
+    ("qsymm-hilbert", "qsymm hilbert --flavor associative --bound 12", FORMATS),
+    ("qsymm-lyndon", "qsymm lyndon --bound 6", FORMATS),
+    ("mzv-eval", "mzv eval --index (2,3) --error 1e-8", (None,)),
+    ("tor-exterior", "tor --algebra exterior:5,9 --bound 20", FORMATS),
+    ("series-thh", "series --which THH --bound 16", FORMATS),
+    ("series-ktheory", "series --which KTheoryFiber --bound 16 --model igt0", FORMATS),
+    ("genus-compute", "genus compute --manifold CP2 --series A-hat", FORMATS),
+    ("genus-deform", "genus deform --manifold CP1 --series A-hat --t 1:1/3,3:0", FORMATS),
+    ("genus-file", "genus compute --manifold-file {manifold} --series Todd", FORMATS),
+    ("coaction", "coaction --manifold CP1 --class 1 --bound 8", (None,)),
+]
+CASES = [(name, argv, fmt) for name, argv, fmts in EXAMPLES for fmt in fmts]
 SUBCOMMANDS = ("symm", "qsymm", "mzv", "tor", "series", "genus", "coaction", "acceptance")
 HELP = [("help", [])] + [("help-" + cmd, [cmd]) for cmd in SUBCOMMANDS]
 
@@ -51,7 +54,7 @@ def cli_stdout(argv, fmt):
     args = argv.format(manifold=GOLDEN / "my_manifold.json").split()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(args + ["--format", fmt])
+        code = cli.main(args + (["--format", fmt] if fmt else []))
     return "exit %d\n%s" % (code, out.getvalue())
 
 
@@ -73,10 +76,10 @@ def acceptance_lines():
 
 
 def _path(name, fmt):
-    return GOLDEN / ("%s.%s.out" % (name, fmt))
+    return GOLDEN / ("%s.%s.out" % (name, fmt or "text"))
 
 
-@pytest.mark.parametrize("name,argv,fmt", CASES, ids=["%s-%s" % (n, f) for n, _, f in CASES])
+@pytest.mark.parametrize("name,argv,fmt", CASES, ids=["%s-%s" % (n, f or "text") for n, _, f in CASES])
 def test_readme_cli_example(name, argv, fmt):
     assert cli_stdout(argv, fmt) == _path(name, fmt).read_text()
 

@@ -63,6 +63,10 @@ class TestTorViaBar:
         a = H.GradedAlgebraPresentation(("1",), (0,), {}, 20)
         assert H.tor_via_bar(a, 12).nonzero() == [(0, 0, 1)]
 
+    def test_bound_zero(self):
+        # bound 0 is allowed, and equal to the algebra's truncation
+        assert H.tor_via_bar(H.exterior_algebra([3], 0), 0).dims == {(0, 0): 1}
+
     def test_single_exterior_generator(self):
         table = H.tor_via_bar(H.exterior_algebra([5], 24), 24)
         # one class per power of the degree-6 polynomial generator
@@ -379,6 +383,10 @@ class TestSeries:
         assert dims[0] == 0  # augmentation ideal
         assert dims[2] == 1
         assert dims[6] == 2  # y2^3 and y6
+
+    def test_exterior_series_rejects_degree_zero(self):
+        with pytest.raises(ValueError):
+            H.exterior_series([0], 3)
 
     def test_thh_unit(self):
         assert H.coefficient_ring_series(H.THH, 0) == [1]
