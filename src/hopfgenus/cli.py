@@ -2,7 +2,8 @@
 
 One executable, one subcommand per module.  Each subcommand takes
 ``--config``, ``--output`` and a flag for each config key that it reads;
-a flag it does not read is a usage error.  The config file may set all
+a flag it does not read, or that only another action of it reads, is a
+usage error.  The config file may set all
 five keys, so one file serves every subcommand.  Config precedence is
 flags > config file > defaults, and the effective config is echoed into
 every JSON report.  Each subcommand handler returns its report text and
@@ -10,7 +11,8 @@ exit code; ``main`` writes the text once, to ``--output`` or stdout.
 Errors come back on stdout as JSON objects with a stable ``code`` field:
 exit 0 on success, 1 on computation errors, 2 on usage or config errors.
 Usage errors caught by the parser itself are ``parse-error`` objects too,
-and an input file that cannot be opened is a ``config-error``.
+and so is a flag value that the library rejects while building its
+inputs; an input file that cannot be opened is a ``config-error``.
 Output is deterministic (sorted keys, sorted rows).
 """
 
@@ -123,6 +125,13 @@ def _rows_text(header, rows, cfg):
     return "\n".join(lines)
 
 
+def _reject_unread(args, action, *flags):
+    # a flag that only another action of the subcommand reads is a usage error
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise CLIError("parse-error", "%s does not read --%s" % (action, flag), 2)
+
+
 def _check_size(flag, value, least=0):
     # size flags are checked where they enter, before any library call
     if value < least:
@@ -151,9 +160,10 @@ def _cmd_qsymm(args, cfg):
     except ValueError as exc:
         raise CLIError("parse-error", str(exc), 2)
     if args.action == "hilbert":
-        dims = qsymm.free_algebra_hilbert(profile, args.bound, args.flavor)
+        dims = qsymm.free_algebra_hilbert(profile, args.bound, args.flavor or "associative")
         rows = [(n, dims[n]) for n in range(args.bound + 1)]
         return _rows_text(("degree", "dim"), rows, cfg), 0
+    _reject_unread(args, "qsymm lyndon", "flavor")
     words = qsymm.lyndon_generators(args.bound, profile)
     if cfg["format"] == "json":
         return _report(cfg, weight=args.bound, words=words), 0
@@ -171,6 +181,9 @@ def _cmd_mzv(args, cfg):
         raise CLIError("divergent-index", str(exc))
     except mzv.PrecisionError as exc:
         raise CLIError("precision-error", str(exc))
+    except ValueError as exc:
+        # the config checked the target, so the library rejected the index
+        raise CLIError("parse-error", str(exc), 2)
     report = {"index": idx, "value": enc.value, "error_bound": enc.error_bound, "admissible": True}
     return _report(cfg, **report), 0
 
@@ -181,10 +194,13 @@ def _parse_algebra(text, bound):
         degrees = [int(d) for d in rest.split(",") if d]
     except ValueError:
         raise CLIError("parse-error", "bad algebra degrees in %r" % text, 2)
-    if kind == "exterior":
-        return homology.exterior_algebra(degrees, bound)
-    if kind == "squarezero":
-        return homology.square_zero_extension(degrees, bound)
+    try:
+        if kind == "exterior":
+            return homology.exterior_algebra(degrees, bound)
+        if kind == "squarezero":
+            return homology.square_zero_extension(degrees, bound)
+    except ValueError as exc:
+        raise CLIError("parse-error", str(exc), 2)
     raise CLIError("parse-error", "unknown algebra kind %r" % kind, 2)
 
 
@@ -247,17 +263,22 @@ def _parse_t(text):
         if k in entries:
             raise CLIError("parse-error", "deformation index %d appears more than once" % k, 2)
         entries[k] = v
-    return genus_mod.DeformationParameters.from_dict(entries)
+    try:
+        return genus_mod.DeformationParameters.from_dict(entries)
+    except ValueError as exc:
+        raise CLIError("parse-error", str(exc), 2)
 
 
 def _cmd_genus(args, cfg):
+    if args.action == "compute":
+        _reject_unread(args, "genus compute", "t", "model")
     model = _load_manifold(args)
     series = _genus_series(args.series, max(model.dim_c, 1) + 1)
     report = {"manifold": model.name, "series": args.series}
     if args.action == "compute":
         value = genus_mod.genus(model, series)
     else:  # deform
-        params = _parse_t(args.t)
+        params = _parse_t(args.t or "")
         include = cfg["model"] == "kge0"
         value = genus_mod.deform_genus(model, series, params, include_ch1=include)
         report["t"] = {str(k): str(v) for k, v in params.entries}
@@ -336,11 +357,7 @@ def build_parser():
     s = subs.add_parser("qsymm", help="Lyndon generators and Hilbert series")
     s.add_argument("action", choices=["hilbert", "lyndon"])
     s.add_argument("--profile", default="all")
-    s.add_argument(
-        "--flavor",
-        default="associative",
-        choices=["associative", "lie", "polynomial-on-lyndon"],
-    )
+    s.add_argument("--flavor", choices=["associative", "lie", "polynomial-on-lyndon"])
     s.add_argument("--bound", type=int, required=True)
     _add_common(s, "format")
     s.set_defaults(fn=_cmd_qsymm)
@@ -372,7 +389,7 @@ def build_parser():
     s.add_argument("--manifold", default="CP1")
     s.add_argument("--manifold-file")
     s.add_argument("--series", default="A-hat")
-    s.add_argument("--t", default="")
+    s.add_argument("--t")
     _add_common(s, "model")
     s.add_argument("--format", choices=FORMATS, help="genus prints its JSON report for every format")
     s.set_defaults(fn=_cmd_genus)

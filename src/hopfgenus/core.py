@@ -256,14 +256,6 @@ class GradedPolynomial(LinearCombination):
             return -1
         return max(monomial_degree(m) for m in self.terms)
 
-    def map_coefficients(self, fn):
-        out = {}
-        for m, c in self.terms.items():
-            v = fn(c)
-            if v != 0:
-                out[m] = v
-        return GradedPolynomial(out)
-
     def substitute(self, images):
         """Replace generators by polynomials.
 

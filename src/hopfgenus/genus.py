@@ -1,8 +1,8 @@
 """Hirzebruch genera, Chern characters and the deformation torsor.
 
-Manifold models carry a truncated-polynomial cohomology ring, the total
-Chern class of the (stably complex) tangent bundle and a volume monomial
-for the fundamental-class pairing.  Genera are evaluated without ever
+Manifold models carry a truncated-polynomial cohomology ring, whose top
+monomial gives the fundamental-class pairing, and the total Chern class of
+the (stably complex) tangent bundle.  Genera are evaluated without ever
 introducing Chern roots: the multiplicative class of a characteristic
 series Q is exp(sum_m l_m N_m(tau)) with l = log Q, taken in the model's
 cohomology ring, and the Newton classes are read off one series
@@ -31,6 +31,8 @@ from .core import (
     add_into,
     gen_id,
     gid_degree,
+    gid_family,
+    monomial_degree,
     parse_polynomial,
 )
 from .homology import SOMEGA, coefficient_ring_series
@@ -47,29 +49,33 @@ EULER_GAMMA = 0.57721566490153286060651209008240243
 class ManifoldModel:
     """Cohomology ring + tangent Chern data of a closed manifold.
 
-    generators: tuple of (symbol, gid, real degree, nilpotency); each
-    generator g satisfies g^(nilpotency+1) = 0.  volume is the canonical
-    top monomial in real degree 2*dim_c.  A product model's embeddings
-    map each factor's generator ids to the product's (see ``product``).
+    generators: (gid, nilpotency) pairs in increasing gid order; each
+    generator g = gen_id(sym, 1, real degree) satisfies
+    g^(nilpotency+1) = 0.  The tuple is also the volume monomial, the
+    product of the top powers, of real degree 2*dim_c.  A product model's
+    embeddings map, per factor, factor gids to product gids as sorted
+    pairs; a gid not listed is unchanged (see ``product``).
     """
 
     name: str
-    dim_c: int
     generators: tuple
     total_chern: GradedPolynomial
-    volume: tuple
     embeddings: tuple = ()
 
     def __post_init__(self):
         if self.total_chern.coefficient(()) != 1:
             raise ValueError("total Chern class needs constant term 1")
+        gids = [g for g, _ in self.generators]
+        if any(a >= b for a, b in zip(gids, gids[1:])):
+            raise ValueError("generators must be listed once each, in increasing gid order")
 
-    def nilpotency(self):
-        return {gid: k for (_, gid, _, k) in self.generators}
+    @property
+    def dim_c(self):
+        return monomial_degree(self.generators) // 2
 
     def reduce(self, poly):
         """Kill monomials with a generator past its nilpotency."""
-        nil = self.nilpotency()
+        nil = dict(self.generators)
         out = {}
         for mon, c in poly.terms.items():
             if all(e <= nil.get(gid, e) for gid, e in mon):
@@ -78,23 +84,21 @@ class ManifoldModel:
 
     def pairing(self, poly):
         """Evaluation against the fundamental class."""
-        return poly.coefficient(self.volume)
+        return poly.coefficient(self.generators)
 
     def betti_numbers(self):
         """Dimensions of the cohomology per real degree."""
-        out = [0] * (2 * self.dim_c + 1)
+        out = [0] * (monomial_degree(self.generators) + 1)
         basis = [()]
-        for _, gid, deg, nil in self.generators:
+        for gid, nil in self.generators:
             basis = [b + ((gid, e),) if e else b for b in basis for e in range(nil + 1)]
         for mon in basis:
-            d = sum(gid_degree(g) * e for g, e in mon)
-            if d <= 2 * self.dim_c:
-                out[d] += 1
+            out[monomial_degree(mon)] += 1
         return out
 
 
 def point():
-    return ManifoldModel("pt", 0, (), GradedPolynomial.one(), ())
+    return ManifoldModel("pt", (), GradedPolynomial.one())
 
 
 _SYMBOL_POOL = "xyzuvwabcdefg"
@@ -109,31 +113,27 @@ def cp(n):
         return point()
     gid = gen_id("x", 1, 2)
     total = GradedPolynomial({((gid, k),) if k else (): math.comb(n + 1, k) for k in range(n + 1)})
-    return ManifoldModel("CP%d" % n, n, (("x", gid, 2, n),), total, ((gid, n),))
+    return ManifoldModel("CP%d" % n, ((gid, n),), total)
 
 
 def product(a, b):
     """Product model; the second factor's generators are renamed on clash."""
-    used = {sym for sym, _, _, _ in a.generators}
+    used = {gid_family(gid) for gid, _ in a.generators}
     pool = iter(s for s in _SYMBOL_POOL if s not in used)
     renamed = {}
-    new_gens = []
-    for sym, gid, deg, nil in b.generators:
+    for gid, _ in b.generators:
+        sym = gid_family(gid)
         sym2 = next(pool, None) if sym in used else sym
         if sym2 is None:
             raise ValueError("%s x %s: no letter left to rename %s; products use the %d letters %r"
                              % (a.name, b.name, sym, len(_SYMBOL_POOL), _SYMBOL_POOL))
         used.add(sym2)
-        renamed[gid] = gen_id(sym2, 1, deg)
-        new_gens.append((sym2, renamed[gid], deg, nil))
-    (vol_b,) = _rename(GradedPolynomial({b.volume: 1}), renamed).terms
+        renamed[gid] = gen_id(sym2, 1, gid_degree(gid))
     return ManifoldModel(
         "%sx%s" % (a.name, b.name),
-        a.dim_c + b.dim_c,
-        a.generators + tuple(new_gens),
+        tuple(sorted(a.generators + tuple((renamed[g], nil) for g, nil in b.generators))),
         a.total_chern * _rename(b.total_chern, renamed),
-        tuple(sorted(a.volume + vol_b)),
-        embeddings=({}, renamed),
+        embeddings=((), tuple(sorted(renamed.items()))),
     )
 
 
@@ -148,12 +148,12 @@ def embed_factor(model, which, cls):
     """Include a factor's cohomology class into a product model."""
     if not model.embeddings:
         raise ValueError("%s is not a product model" % model.name)
-    return _rename(cls, model.embeddings[which])
+    return _rename(cls, dict(model.embeddings[which]))
 
 
 def generator_degrees(generators):
     """``parse_polynomial``'s ``degree_of``: ``s[1]`` per symbol s, else ``ParseError``."""
-    degs = {sym: deg for sym, _, deg, _ in generators}
+    degs = {gid_family(gid): gid_degree(gid) for gid, _ in generators}
 
     def degree_of(fam, idx):
         if fam not in degs or idx != 1:
@@ -193,23 +193,23 @@ def manifold_from_json(text_or_dict):
         sym = _json_field(g, "sym", str)
         deg = _json_field(g, "deg", int)
         nil = _json_field(g, "nilpotency", int)
-        if len(sym) != 1 or not sym.isalpha() or any(sym == h[0] for h in gens):
+        if len(sym) != 1 or not sym.isalpha() or any(sym == gid_family(h) for h, _ in gens):
             raise ValueError("generator symbols must be distinct single letters: %r" % sym)
         if deg <= 0 or deg % 2:
             raise ValueError("generator %s: degree must be even and positive: %d" % (sym, deg))
         if nil < 1:
             raise ValueError("generator %s: nilpotency must be at least 1: %d" % (sym, nil))
-        gens.append((sym, gen_id(sym, 1, deg), deg, nil))
+        gens.append((gen_id(sym, 1, deg), nil))
+    top = tuple(sorted(gens))
 
-    degree_of = generator_degrees(gens)
+    degree_of = generator_degrees(top)
     chern = parse_polynomial(_json_field(d, "total_chern", str), degree_of)
     vol = parse_polynomial(_json_field(d, "volume_monomial", str), degree_of)
-    top = tuple(sorted((gid, nil) for _, gid, _, nil in gens))
     if vol.terms != {top: 1}:
         raise ValueError("the volume monomial must be the product of each generator's top power")
-    if sum(deg * nil for _, _, deg, nil in gens) != 2 * dim_c:
+    if monomial_degree(top) != 2 * dim_c:
         raise ValueError("the volume monomial must have real degree 2*dim_c = %d" % (2 * dim_c))
-    return ManifoldModel(name, dim_c, tuple(gens), chern, top)
+    return ManifoldModel(name, top, chern)
 
 
 CATALOG = {

@@ -3,13 +3,16 @@ the parent-extended coaction replaced.
 
 ``_ring_exp`` used to sum arg^m / m! for m <= dim_c, reducing each power,
 in a coefficient kind chosen from the deformation parameters; the
-deformation exponential mapped each Chern character to that kind first.
+deformation exponential mapped each Chern character to that kind first,
+with ``map_coefficients``, which the library no longer has.
 ``coaction`` rebuilt each alpha's product from ``cls`` with |alpha| ring
-products, for every alpha up to ``bound``.  The tests keep them as
+products, for every alpha up to ``bound``.  A catalog model used to store
+its dimension and volume monomial beside (symbol, gid, degree,
+nilpotency) generators (``catalog_fields``).  The tests keep them as
 oracles for the paths that replaced them.
 """
 
-from hopfgenus.core import GradedPolynomial, PowerSeries1, add_into
+from hopfgenus.core import GradedPolynomial, PowerSeries1, add_into, gen_id, gid_degree
 from hopfgenus.genus import (
     _alpha_partitions,
     _ch_from_newton,
@@ -20,10 +23,19 @@ from hopfgenus.genus import (
 from hopfgenus.rational import Q
 
 
+def map_coefficients(poly, fn):
+    out = {}
+    for m, c in poly.terms.items():
+        v = fn(c)
+        if v != 0:
+            out[m] = v
+    return GradedPolynomial(out)
+
+
 def ring_exp(model, arg, kind):
     power = GradedPolynomial.one()
     if kind is not None:
-        power = power.map_coefficients(kind)
+        power = map_coefficients(power, kind)
     out = dict(power.terms)
     for m in range(1, model.dim_c + 1):
         power = model.reduce(power * arg) * (Q(1, m) if kind is None else 1.0 / m)
@@ -50,7 +62,7 @@ def deformation_exponential(model, params, include_ch1=True):
     for k, v in entries:
         ch = _ch_from_newton(newton, k)
         if kind is not None:
-            ch = ch.map_coefficients(kind)
+            ch = map_coefficients(ch, kind)
         add_into(arg, (ch * v).terms)
     return ring_exp(model, GradedPolynomial(arg), kind)
 
@@ -60,7 +72,7 @@ def deform_genus(model, q_series, params, include_ch1=True):
     kind = _numeric_kind([v for _, v in params.entries])
     kclass = multiplicative_class(model, q_series)
     if kind is not None:
-        kclass = kclass.map_coefficients(kind)
+        kclass = map_coefficients(kclass, kind)
     return model.pairing(model.reduce(expo * kclass))
 
 
@@ -77,3 +89,29 @@ def coaction(model, cls, bound):
         if acc.terms:
             out[alpha] = acc
     return out
+
+
+def catalog_fields(name):
+    """(dim_c, volume, betti numbers) of a catalog model such as
+    'CP1xCP2', as the former model stored and derived them."""
+    dim_c, gens, volume = 0, (), ()
+    for factor in name.split("x"):
+        n = 0 if factor == "pt" else int(factor[2:])
+        if not n:
+            continue
+        # the factor's one generator x, renamed to the first free letter on a clash
+        used = {sym for sym, _, _, _ in gens}
+        sym = next(s for s in "xyzuvwabcdefg" if s not in used)
+        gid = gen_id(sym, 1, 2)
+        gens += ((sym, gid, 2, n),)
+        dim_c += n
+        volume = tuple(sorted(volume + ((gid, n),)))
+    betti = [0] * (2 * dim_c + 1)
+    basis = [()]
+    for _, g, _, nil in gens:
+        basis = [b + ((g, e),) if e else b for b in basis for e in range(nil + 1)]
+    for mon in basis:
+        d = sum(gid_degree(g) * e for g, e in mon)
+        if d <= 2 * dim_c:
+            betti[d] += 1
+    return dim_c, volume, betti

@@ -124,7 +124,7 @@ _COMMANDS = {
     "mzv": (["mzv", "eval", "--index", "(2)"], ("error",)),
     "tor": (["tor", "--algebra", "exterior:3", "--bound", "6"], ("format",)),
     "series": (["series", "--which", "THH", "--bound", "4"], ("model", "format")),
-    "genus": (["genus", "compute", "--manifold", "CP1"], ("model", "format")),
+    "genus": (["genus", "deform", "--manifold", "CP1"], ("model", "format")),
     "coaction": (["coaction", "--manifold", "CP1", "--bound", "4"], ()),
     "acceptance": (["acceptance", "--only", "10"], ("degree", "format")),
 }
@@ -162,6 +162,63 @@ class TestSubcommandOptions:
                 "model": "igt0",
                 "format": "text",
             }
+
+
+class TestActionFlags:
+    """A flag that only another action of the subcommand reads is a parse-error."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["genus", "compute", "--manifold", "CP2", "--t", "1:1/2"], "genus compute does not read --t"),
+            (["genus", "compute", "--manifold", "CP2", "--t", ""], "genus compute does not read --t"),
+            (["genus", "compute", "--manifold", "CP2", "--model", "igt0"], "genus compute does not read --model"),
+            (["genus", "compute", "--manifold", "K3", "--t", "1:1"], "genus compute does not read --t"),
+            (["qsymm", "lyndon", "--flavor", "lie", "--bound", "4"], "qsymm lyndon does not read --flavor"),
+        ],
+        ids=["compute-t", "compute-empty-t", "compute-model", "compute-t-before-manifold", "lyndon-flavor"],
+    )
+    def test_unread_action_flag(self, argv, message, capsys):
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "message": message}
+
+    def test_config_file_may_set_the_model_for_compute(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "igt0"}))
+        code, out = run(["genus", "compute", "--manifold", "CP2", "--config", str(cfg)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["value"], report["config"]["model"]) == ("-1/8", "igt0")
+
+    def test_hilbert_flavor_defaults_to_associative(self, capsys):
+        argv = ["qsymm", "hilbert", "--bound", "6", "--format", "csv"]
+        assert run(argv, capsys) == run(argv + ["--flavor", "associative"], capsys)
+
+
+class TestLibraryRejectedValues:
+    """A flag value that the library rejects while building its inputs is a
+    parse-error (exit 2), with the library's message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["genus", "deform", "--manifold", "CP2", "--t", "2:1"], "deformation indices must be odd >= 1: 2"),
+            (["genus", "deform", "--manifold", "CP2", "--t", "0:1"], "deformation indices must be odd >= 1: 0"),
+            (["genus", "deform", "--manifold", "CP2", "--t=-1:1"], "deformation indices must be odd >= 1: -1"),
+            (
+                ["tor", "--algebra", "exterior:2", "--bound", "5"],
+                "exterior generators must have odd positive degree: [2]",
+            ),
+            (["tor", "--algebra", "squarezero:0", "--bound", "5"], "degrees must be positive: [0]"),
+            (["mzv", "eval", "--index", "()"], "index entries must be positive integers: ()"),
+        ],
+        ids=["t-even", "t-zero", "t-negative", "exterior-even", "squarezero-zero", "mzv-empty"],
+    )
+    def test_parse_error(self, argv, message, capsys):
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "message": message}
 
 
 class TestQsymmCommand:
