@@ -361,6 +361,12 @@ class NumericZetaSource:
 # the deformation torsor
 
 
+def _check_deformation_indices(indices):
+    for k in indices:
+        if k < 1 or k % 2 == 0:
+            raise ValueError("deformation indices must be odd >= 1: %d" % k)
+
+
 @dataclass(frozen=True)
 class DeformationParameters:
     """Finitely supported map k -> t_k for odd k >= 1.
@@ -372,9 +378,7 @@ class DeformationParameters:
     entries: tuple = ()
 
     def __post_init__(self):
-        for k, _ in self.entries:
-            if k < 1 or k % 2 == 0:
-                raise ValueError("deformation indices must be odd >= 1: %d" % k)
+        _check_deformation_indices(k for k, _ in self.entries)
 
     @classmethod
     def from_dict(cls, d):
@@ -382,6 +386,7 @@ class DeformationParameters:
             int(k): canonical(Q(v) if isinstance(v, (str, int)) else v)
             for k, v in d.items()
         }
+        _check_deformation_indices(coerced)  # zero-valued ones too, before they are dropped
         return cls(tuple(sorted((k, v) for k, v in coerced.items() if v != 0)))
 
     def as_dict(self):

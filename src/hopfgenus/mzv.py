@@ -39,19 +39,34 @@ The suffix starting inside block i is (t, c_{i+1},...,c_m) with
     Q_i(n) = Q_i(n-1) + n^{-c_i} Q_{i+1}(n-1),  Q_{m+1} = 1,
 
 so all suffixes share the nested partial sums Q.  The sweep runs one
-level at a time, from level m to level 1.  Level i divides the whole
-list Q_{i+1}(n-1), n = 1..N, by n once per t; each quotient list, scaled
-by 2^{-n} and summed, is the head of the suffix (t, c_{i+1},...), and the
-running sums of the last one are the Q_i(n-1) that level i-1 divides.
-A level depends only on the index suffix (c_i,...,c_m), so a word and
-its dual, and the words of one QSymm element, compute a shared level
-once.  All quantities are Python integers scaled by 2^B and rounded by
-floor division only, so each is a lower bound.  They are the floors of
-the recursion in n, taken in the same order, so the rounding count is
-unchanged: a floor loses less than one unit, and
-a loss e in Q_{i+1}(n-1) costs at most e/n after division by n^{c_i};
-by induction a Q with r levels is less than r*n units short after n
-steps.  A term of a depth-r suffix is then short by less than
+level at a time, from level m to level 1, over n = 1..M with
+M = min(N, B + 1).  Level i divides the list Q_{i+1}(n-1), n = 1..M, by
+n once per t; each quotient list, scaled by 2^{-n} and summed, is the
+head of the suffix (t, c_{i+1},...), and the running sums of the last
+one are the Q_i(n-1) that level i-1 divides.  A level depends only on
+the index suffix (c_i,...,c_m), so a word and its dual, and the words of
+one QSymm element, compute a shared level once.  All quantities are
+Python integers scaled by 2^B and rounded by floor division only, so
+each is a lower bound.
+
+The cut at M drops only zero terms.  A depth-d suffix sum, whose
+exponents are all at least 1, satisfies
+
+    Q(n-1) <= e_d(1, 1/2, ..., 1/(n-1)) <= H_{n-1}^d / d! <= e^{H_{n-1}}
+           <= e (n-1)
+
+(H_k <= 1 + ln k), and the floors only lower it, so every floored
+quotient at n is below e 2^B < 2^n once n >= B + 2, and its head term
+v >> n is 0.  A level's inputs at n <= B + 1 are prefix sums of the
+level below over k <= B, so nothing past B + 1 is read.  The heads are
+therefore those of the sweep to N, bit for bit, and N only sizes the
+widths below.
+
+The floors are those of the recursion in n, taken in the same order, so
+the rounding count is that of a sweep to N: a floor loses less than one
+unit, and a loss e in Q_{i+1}(n-1) costs at most e/n after division by
+n^{c_i}; by induction a Q with r levels is less than r*n units short
+after n steps.  A term of a depth-r suffix is then short by less than
 1 + (r-1)/2^n units and its head by less than N + r - 1 units.  Tail
 bound: Q_{i+1}(n-1) is a sum of at most C(n-1, r-1) <= n^{r-1}
 products that are each at most 1, so the tail after N is at most
@@ -72,6 +87,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import floordiv, rshift
 
@@ -97,16 +113,24 @@ class PrecisionError(RuntimeError):
     depth 1, below the resolution of a float value at depth >= 2."""
 
 
-def _float_up(q):
-    """The least float >= the rational q."""
-    f = float(q)
-    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+def _div_up(num, den):
+    """The least float >= num / den, for integers num >= 0 and den > 0."""
+    f = num / den  # int / int is correctly rounded, as float(Fraction) is
+    a, b = f.as_integer_ratio()
+    return f if a * den >= num * b else math.nextafter(f, math.inf)
 
 
 def _enclose(center, radius):
-    """CertifiedReal of the exact interval center +/- radius (rationals)."""
-    value = float(center)
-    bound = _float_up(radius + abs(Fraction(value) - center))
+    """CertifiedReal of the exact interval center +/- radius (rationals).
+
+    Rounds on the integer numerators and denominators: the value is
+    p / q and the bound radius + |value - p / q| over one denominator.
+    """
+    p, q = center.numerator, center.denominator
+    a, b = radius.numerator, radius.denominator
+    value = p / q
+    m, d = value.as_integer_ratio()
+    bound = _div_up(a * d * q + b * abs(m * q - p * d), b * d * q)
     return CertifiedReal(value, max(bound, math.ulp(value)))
 
 
@@ -219,12 +243,14 @@ def _tail_units(N, r, B):
     return x << shift if shift >= 0 else -(-x >> -shift)
 
 
+@lru_cache(maxsize=256)
 def _terms(B, r):
     """The least N >= B whose depth-r tail is at most N units 2^-B.
 
     The condition is monotone in N: the ratio bound, once it holds, makes
     the tail shrink by 3/4 per step while N grows.  Doubling steps bracket
-    the least N and bisection finds it.
+    the least N and bisection finds it.  Calls repeat a few (B, r), so the
+    answers are cached.
     """
 
     def ok(N):
@@ -244,17 +270,22 @@ def _suffix_polylogs(index, B, N, levels):
     an index suffix to its level at this B and N: its heads, its last
     quotients and the width of each head.  Levels missing from it are
     computed and added.
+
+    Every level runs over n = 1..min(N, B + 1): from n = B + 2 on each
+    head term is 0 and no level below reads its quotients (the lemma in
+    the module docstring), so the heads are those of a sweep to N.  N
+    still sizes each width.
     """
     index = tuple(index)
-    ns = range(1, N + 1)
+    ns = range(1, min(N, B + 1) + 1)
     lower, width = [1 << B], [0]
     quotients = None  # of the level below
     for i in reversed(range(len(index))):
         suffix = index[i:]
         level = levels.get(suffix)
         if level is None:
-            # 2^B Q_{i+1}(n-1) for n = 1..N (map stops at the shorter input)
-            v = repeat(1 << B, N) if quotients is None else accumulate(quotients, initial=0)
+            # 2^B Q_{i+1}(n-1) for n in ns (map stops at the shorter input)
+            v = repeat(1 << B, len(ns)) if quotients is None else accumulate(quotients, initial=0)
             heads = []
             for _ in range(index[i]):
                 v = list(map(floordiv, v, ns))  # floor(floor(x / n^t) / n) = floor(x / n^(t+1))
@@ -279,6 +310,12 @@ def _holder_interval(idx, B, N, levels):
     return lo, hi
 
 
+def _need(slack):
+    """The least integer k >= 0 with 2^k slack >= 1, for a rational slack > 0."""
+    # bit_length gives the least k with 2^k > (q - 1) // p, that is 2^k p >= q
+    return ((slack.denominator - 1) // slack.numerator).bit_length()
+
+
 def _nested_eval(words, target, center=0, radius=0):
     """Enclosure of center + sum c zeta(idx) over the (idx, c) in ``words``.
 
@@ -291,7 +328,7 @@ def _nested_eval(words, target, center=0, radius=0):
     slack = Fraction(target) - radius
     r = max(max(len(idx), sum(idx) - len(idx)) for idx, _ in words)  # the deepest suffix
     scale = math.ceil(sum(abs(c) * (sum(idx) + 1) for idx, c in words))
-    need = ((slack.denominator - 1) // slack.numerator).bit_length()  # least: 2^need slack >= 1
+    need = _need(slack)
     B = need + 8
     while True:
         N = _terms(B, r)
@@ -395,11 +432,11 @@ def homomorphism_check(a, b, target_error=1e-6):
     radius += abs(ca) * rb + abs(cb) * ra + ra * rb
     defect = abs(lhs - rhs)
     lhs_f, rhs_f = float(lhs), float(rhs)
-    rounding = abs(Fraction(lhs_f) - lhs) + abs(Fraction(rhs_f) - rhs)
+    allowed = radius + abs(Fraction(lhs_f) - lhs) + abs(Fraction(rhs_f) - rhs)
     return {
         "lhs": lhs_f,
         "rhs": rhs_f,
         "defect": float(defect),
-        "allowed": _float_up(radius + rounding),
+        "allowed": _div_up(allowed.numerator, allowed.denominator),
         "passed": defect <= radius,
     }

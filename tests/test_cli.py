@@ -206,6 +206,8 @@ class TestLibraryRejectedValues:
             (["genus", "deform", "--manifold", "CP2", "--t", "2:1"], "deformation indices must be odd >= 1: 2"),
             (["genus", "deform", "--manifold", "CP2", "--t", "0:1"], "deformation indices must be odd >= 1: 0"),
             (["genus", "deform", "--manifold", "CP2", "--t=-1:1"], "deformation indices must be odd >= 1: -1"),
+            (["genus", "deform", "--manifold", "CP2", "--t", "2:0"], "deformation indices must be odd >= 1: 2"),
+            (["genus", "deform", "--manifold", "CP2", "--t", "1:1,4:0"], "deformation indices must be odd >= 1: 4"),
             (
                 ["tor", "--algebra", "exterior:2", "--bound", "5"],
                 "exterior generators must have odd positive degree: [2]",
@@ -213,7 +215,7 @@ class TestLibraryRejectedValues:
             (["tor", "--algebra", "squarezero:0", "--bound", "5"], "degrees must be positive: [0]"),
             (["mzv", "eval", "--index", "()"], "index entries must be positive integers: ()"),
         ],
-        ids=["t-even", "t-zero", "t-negative", "exterior-even", "squarezero-zero", "mzv-empty"],
+        ids=["t-even", "t-zero", "t-negative", "t-even-zero-value", "t-even-beside-odd", "exterior-even", "squarezero-zero", "mzv-empty"],
     )
     def test_parse_error(self, argv, message, capsys):
         code, out = run(argv, capsys)

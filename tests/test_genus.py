@@ -567,6 +567,15 @@ class TestDeformations:
         with pytest.raises(ValueError):
             G.DeformationParameters.from_dict({2: Q(1)})
 
+    @pytest.mark.parametrize("d", [{2: 0}, {0: 0}, {-1: 0}, {1: 1, 2: 0}, {3: Q(0), 4: 0.0}])
+    def test_bad_index_rejected_when_its_value_is_zero(self, d):
+        # every index is checked before the zero values are dropped
+        with pytest.raises(ValueError, match="deformation indices must be odd >= 1"):
+            G.DeformationParameters.from_dict(d)
+
+    def test_zero_values_are_dropped(self):
+        assert G.DeformationParameters.from_dict({1: 0, 3: Q(1, 2), 5: 0.0}).entries == ((3, Q(1, 2)),)
+
     def test_exclude_ch1_flag(self, cp1):
         ahat = G.a_hat_series(6)
         t = G.DeformationParameters.from_dict({1: Q(1)})

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -478,6 +480,144 @@ def test_mzv_eval_matches_the_per_n_evaluator():
         target = 10.0 ** -rng.uniform(4, 13)
         new, old = mzv.mzv_eval(idx, target), _old_nested_eval(idx, target)
         assert (new.value, new.error_bound) == (old.value, old.error_bound), (idx, target)
+
+
+# The level sweep to N and the Fraction rounding that the sweep cut at
+# B + 1 and the integer rounding replaced, kept here as references.
+
+
+def _full_level_sweep(index, B, N):
+    """The level sweep over n = 1..N, and the largest n with a nonzero head term."""
+    ns = range(1, N + 1)
+    lower, width, last = [1 << B], [0], 0
+    quotients = None
+    for i in reversed(range(len(index))):
+        v = itertools.repeat(1 << B, N) if quotients is None else itertools.accumulate(quotients, initial=0)
+        for _ in range(index[i]):
+            v = list(map(operator.floordiv, v, ns))
+            terms = list(map(operator.rshift, v, ns))
+            last = max([last] + [n for n, term in zip(ns, terms) if term])
+            lower.append(sum(terms))
+        quotients = v
+        r = len(index) - i
+        width += [N + r - 1 + mzv._tail_units(N, r, B)] * index[i]
+    return lower, width, last
+
+
+def test_cut_sweep_matches_the_full_sweep():
+    rng = random.Random(28)
+    for trial in range(150):
+        index = [rng.randint(1, 5) for _ in range(rng.randint(1, 6))]
+        B = trial if trial < 4 else rng.randint(0, 120)  # B = 0..3 always
+        N = mzv._terms(B, len(index)) + rng.choice([0, 0, rng.randint(1, 30)])
+        lower, width, last = _full_level_sweep(index, B, N)
+        # every head term at n >= B + 2 is 0, so the cut drops nothing
+        assert last <= B + 1, (index, B, N, last)
+        assert mzv._suffix_polylogs(index, B, N, {}) == (lower, width), (index, B, N)
+
+
+def _old_float_up(q):
+    f = float(q)
+    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def _old_enclose(center, radius):
+    value = float(center)
+    bound = _old_float_up(radius + abs(Fraction(value) - center))
+    return mzv.CertifiedReal(value, max(bound, math.ulp(value)))
+
+
+def _random_intervals(rng, count):
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:  # a dyadic interval, as _nested_eval makes them
+            B = rng.randint(10, 120)
+            lo = rng.randint(0, 1 << (2 * B + 2))
+            hi = lo + rng.randint(0, 1 << rng.randint(0, 2 * B))
+            yield Fraction(lo + hi, 1 << (2 * B + 1)), Fraction(hi - lo, 1 << (2 * B + 1))
+        elif kind == 1:  # a float center, rounding exactly
+            center = Fraction(rng.uniform(-10, 10))
+            yield center, Fraction(rng.randint(0, 3), rng.randint(1, 1 << 60))
+        elif kind == 2:  # near zero
+            yield Fraction(rng.randint(-5, 5), 1 << rng.randint(0, 1100)), Fraction(rng.randint(0, 2), 1 << 1080)
+        else:
+            center = Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**40))
+            yield center, Fraction(rng.randint(0, 10**20), rng.randint(1, 10**40))
+
+
+def test_integer_enclose_matches_the_fraction_one():
+    for center, radius in _random_intervals(random.Random(28), 20000):
+        new, old = mzv._enclose(center, radius), _old_enclose(center, radius)
+        assert (new.value, new.error_bound) == (old.value, old.error_bound), (center, radius)
+
+
+def test_div_up_is_the_least_float_above():
+    rng = random.Random(28)
+    for _ in range(5000):
+        num, den = rng.randint(0, 1 << rng.randint(1, 200)), rng.randint(1, 1 << rng.randint(1, 200))
+        f = mzv._div_up(num, den)
+        assert Fraction(f) >= Fraction(num, den) > Fraction(math.nextafter(f, -math.inf)) or f == 0.0 == num
+
+
+def _exact_tail(N, r):
+    """Rationals lower <= sum_{n>N} n^(r-1) 2^-n <= upper."""
+    K = N + 400
+    head = Fraction(sum(n ** (r - 1) << (K - n) for n in range(N + 1, K + 1)), 1 << K)
+    # past K each term is at least (K+1)^(r-1) 2^-n, and successive terms
+    # shrink by at most rho, so the rest is below its first term over 1 - rho
+    rho = Fraction(K + 2, K + 1) ** (r - 1) / 2
+    least_rest = Fraction((K + 1) ** (r - 1), 1 << K)
+    most_rest = Fraction((K + 1) ** (r - 1), 1 << (K + 1)) / (1 - rho)
+    return head + least_rest, head + most_rest
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_tail_units_is_at_least_the_exact_tail_and_at_most_twice_it(r):
+    # the bound is 4 times the first term and the tail at least twice it
+    # (every n^(r-1) >= (N+1)^(r-1)), so it is within 2x, up to its ceiling
+    least = next(N for N in itertools.count() if mzv._ratio_below_three_quarters(N, r))
+    for N in sorted({least, least + 1, least + 2, least + 7, 40, 64, 100, 177, 300} - set(range(least))):
+        lower, upper = _exact_tail(N, r)
+        for B in sorted({0, 1, 8, 40, N - 1, N, N + 1, N + 2, 120, 400} - {-1}):
+            units = mzv._tail_units(N, r, B)
+            assert upper * 2**B <= units <= math.ceil(2 * lower * 2**B), (N, r, B)
+
+
+def test_tail_units_refuses_an_n_below_the_ratio_bound():
+    with pytest.raises(RuntimeError):
+        mzv._tail_units(3, 8, 10)
+
+
+def test_need_is_the_least_exponent():
+    def least(slack):
+        return next(k for k in itertools.count() if 2**k * slack >= 1)
+
+    for k in range(-3, 80):
+        # at a power of two 2^need slack >= 1 holds with equality; one float below, it needs a bit more
+        target = 2.0**-k
+        assert mzv._need(Fraction(target)) == max(k, 0)
+        assert mzv._need(Fraction(math.nextafter(target, math.inf))) == max(k, 0)
+        assert mzv._need(Fraction(math.nextafter(target, 0))) == max(k + 1, 0)
+    rng = random.Random(28)
+    for _ in range(2000):
+        slack = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**30))
+        assert mzv._need(slack) == least(slack)
+
+
+def test_nested_eval_sizes_from_the_least_exponent(monkeypatch):
+    # the first B tried is need + 8: record it at targets around 2^-30
+    tried = []
+    terms = mzv._terms
+
+    def recording(B, r):
+        tried.append(B)
+        return terms(B, r)
+
+    monkeypatch.setattr(mzv, "_terms", recording)
+    for target, need in [(2.0**-30, 30), (math.nextafter(2.0**-30, 0), 31), (math.nextafter(2.0**-30, 1), 30)]:
+        tried.clear()
+        mzv._nested_eval([((2, 3), 1)], target)
+        assert tried[0] == need + 8, target
 
 
 # the benchmark's stuffle checks: the sides of pair i against those of
