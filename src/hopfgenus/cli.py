@@ -258,7 +258,7 @@ def _parse_t(text):
         k, _, v = piece.partition(":")
         try:
             k, v = int(k), rational_from_string(v)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise CLIError("parse-error", "bad deformation entry %r" % piece, 2)
         if k in entries:
             raise CLIError("parse-error", "deformation index %d appears more than once" % k, 2)

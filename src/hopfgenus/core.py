@@ -4,7 +4,11 @@ Generators are identified by a family letter and a positive index and
 carry a positive integer degree; all three are packed into a single
 integer id (see ``_kernels.pure``).  The canonical text format is
 ``3*c[1]^2 - 2*c[2]`` with integer or ``p/q`` coefficients; parser and
-printer round-trip bit-exactly.
+printer round-trip bit-exactly.  The parser reads one term at a time:
+every term after the first starts with a sign, and a term's factors
+``p``, ``p/q`` or ``f[i]^e`` are joined by ``*``, whitespace or nothing,
+with at most one coefficient.  A dangling sign, a ``*`` that is not
+between two factors and a zero denominator raise ``ParseError``.
 
 Exact coefficients follow the rule of ``rational``: an integral value is
 an ``int`` and a ``Fraction`` has denominator > 1.  The arithmetic keeps
@@ -700,65 +704,44 @@ class PowerSeries1(_Series):
 # canonical text format
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<coeff>\d+(?:/\d+)?)|(?P<gen>[A-Za-z]\[\d+\](?:\^\d+)?)|(?P<star>\*))"
-)
-_GEN_RE = re.compile(r"([A-Za-z])\[(\d+)\](?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z])\[(\d+)\](?:\^(\d+))?")
+# an optionally signed term: factors joined by '*', whitespace or nothing
+_TERM_RE = re.compile(r"\s*([+-]?)\s*((?:%s)(?:\s*\*?\s*(?:%s))*)\s*" % ((_FACTOR_RE.pattern,) * 2))
 
 
 def parse_polynomial(text, degree_of=None):
     """Parse the canonical text format into a GradedPolynomial.
 
+    The text is read one term at a time, by the grammar in the module
+    docstring; anything outside it raises ``ParseError``.
     ``degree_of(family, index)`` supplies generator degrees; by default
     the degree is the index (the weight convention).
     """
     if degree_of is None:
         degree_of = lambda fam, idx: idx
-    pos = 0
-    n = len(text)
     terms = {}
-    # state per term
-    sign = 1
-    coeff = None
-    gens = {}
-    started = False
-
-    def flush():
-        nonlocal sign, coeff, gens, started
-        if not started:
-            return
-        c = 1 if coeff is None else coeff
-        if sign < 0:
-            c = -c
-        mon = tuple(sorted((g, e) for g, e in gens.items() if e))
-        add_into(terms, ((mon, c),))
-        sign, coeff, gens, started = 1, None, {}, False
-
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m.group(1)):
             raise ParseError("cannot parse polynomial at: %r" % text[pos:])
         pos = m.end()
-        if m.group("sign"):
-            flush()
-            sign = -1 if m.group("sign") == "-" else 1
-            started = True
-        elif m.group("coeff"):
-            if coeff is not None:
-                raise ParseError("two coefficients in one term: %r" % text)
-            coeff = rational_from_string(m.group("coeff"))
-            started = True
-        elif m.group("gen"):
-            gm = _GEN_RE.match(m.group("gen"))
-            fam, idx, exp = gm.group(1), int(gm.group(2)), gm.group(3)
-            e = int(exp) if exp else 1
-            gid = gen_id(fam, idx, degree_of(fam, idx))
-            gens[gid] = gens.get(gid, 0) + e
-            started = True
-        # '*' separators carry no content
-    flush()
+        coeff, gens = None, {}
+        for num, fam, idx, exp in _FACTOR_RE.findall(m.group(2)):
+            if num:
+                if coeff is not None:
+                    raise ParseError("two coefficients in one term: %r" % text)
+                try:
+                    coeff = rational_from_string(num)
+                except ValueError as exc:
+                    raise ParseError(str(exc)) from None
+            else:
+                idx = int(idx)
+                gid = gen_id(fam, idx, degree_of(fam, idx))
+                gens[gid] = gens.get(gid, 0) + int(exp or 1)
+        c = 1 if coeff is None else coeff
+        mon = tuple(sorted((g, e) for g, e in gens.items() if e))
+        add_into(terms, ((mon, -c if m.group(1) == "-" else c),))
     return GradedPolynomial(terms)
 
 

@@ -243,6 +243,12 @@ def _tail_units(N, r, B):
     return x << shift if shift >= 0 else -(-x >> -shift)
 
 
+@lru_cache(maxsize=1024)
+def _width(N, r, B):
+    """Width of each head of a depth-r suffix, in units 2^-B: rounding plus tail."""
+    return N + r - 1 + _tail_units(N, r, B)
+
+
 @lru_cache(maxsize=256)
 def _terms(B, r):
     """The least N >= B whose depth-r tail is at most N units 2^-B.
@@ -290,8 +296,7 @@ def _suffix_polylogs(index, B, N, levels):
             for _ in range(index[i]):
                 v = list(map(floordiv, v, ns))  # floor(floor(x / n^t) / n) = floor(x / n^(t+1))
                 heads.append(sum(map(rshift, v, ns)))  # one floor: floor(x / (n^(t+1) 2^n))
-            r = len(suffix)
-            level = levels[suffix] = (heads, v, N + r - 1 + _tail_units(N, r, B))
+            level = levels[suffix] = (heads, v, _width(N, len(suffix), B))
         heads, quotients, slack = level
         lower += heads
         width += [slack] * len(heads)
@@ -319,7 +324,9 @@ def _need(slack):
 def _nested_eval(words, target, center=0, radius=0):
     """Enclosure of center + sum c zeta(idx) over the (idx, c) in ``words``.
 
-    Every idx has depth >= 2; ``center`` and ``radius`` are exact and
+    Every idx is admissible, of any depth: the Hoelder convolution holds
+    for every admissible word, though ``mzv_eval`` and ``_specialize``
+    send only depth >= 2 here.  ``center`` and ``radius`` are exact and
     already enclose the rest of a sum.  All words share one B, one N and
     the levels of their sweeps; the c*lo and c*hi ends are summed exactly.
     Returns the exact (center, radius) and the CertifiedReal that rounds

@@ -61,7 +61,7 @@ class QSymmElement(LinearCombination):
         ) or "0"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _qs_words(alpha, beta):
     """Quasi-shuffle of two compositions: tuple of (composition, count)."""
     if not alpha:

@@ -40,9 +40,11 @@ def divide(a, b):
 
 
 def rational_from_string(s):
-    """Parse ``p`` or ``p/q`` into an exact rational."""
+    """Parse ``p`` or ``p/q`` into an exact rational; ValueError if q is 0."""
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return divide(int(num), int(den))
+        num, den = map(int, s.split("/", 1))
+        if den == 0:
+            raise ValueError("zero denominator in %r" % s)
+        return divide(num, den)
     return int(s)

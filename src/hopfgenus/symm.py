@@ -128,7 +128,7 @@ def _generating_series(family, D, sign=1):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def _gen_table(src, tgt, D):
     """Generators 1..D of basis ``src`` written in basis ``tgt``, as a tuple.
 
@@ -169,7 +169,7 @@ def _convert_multiplicative(poly, src, tgt):
 # monomial basis
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _p_times_m(r, mu):
     """Expansion of p_r * m_mu in the m basis: dict partition -> int."""
     out = {}
@@ -186,7 +186,7 @@ def _p_times_m(r, mu):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _p_lambda_in_m(lam):
     """Expansion of p_lambda = prod p_r in the m basis."""
     acc = {(): 1}
@@ -198,7 +198,7 @@ def _p_lambda_in_m(lam):
     return tuple(sorted(acc.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _m_in_p_weight(w):
     """Each m_lambda of weight w in the p basis, by back substitution.
 

@@ -404,6 +404,11 @@ class TestGenusCommand:
         assert code == 2
         assert json.loads(out) == {"code": "parse-error", "message": "bad deformation entry '1:x'"}
 
+    def test_zero_denominator_deformation_entry(self, capsys):
+        code, out = run(["genus", "deform", "--manifold", "CP2", "--t", "1:1/0"], capsys)
+        assert code == 2
+        assert json.loads(out) == {"code": "parse-error", "message": "bad deformation entry '1:1/0'"}
+
     def test_unknown_series(self, capsys):
         code, out = run(["genus", "compute", "--manifold", "CP2", "--series", "Foo"], capsys)
         assert code == 1
@@ -540,6 +545,20 @@ class TestCoactionCommand:
         report = json.loads(out)
         assert report["code"] == "parse-error"
         assert "unknown generator" in report["message"]
+
+    @pytest.mark.parametrize("cls", ["1/0", "x[1] -"])
+    def test_malformed_class_is_a_parse_error(self, capsys, cls):
+        code = cli.main(["coaction", "--manifold", "CP2", "--bound", "4", "--class", cls])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["code"], err) == (1, "parse-error", "")
+
+    def test_zero_denominator_in_a_manifold_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(TestGenusCommand._CP1, total_chern="1 + 1/0*x[1]")))
+        code = cli.main(["coaction", "--manifold-file", str(path), "--bound", "4"])
+        out, err = capsys.readouterr()
+        assert (code, json.loads(out)["code"], err) == (1, "parse-error", "")
+        assert "zero denominator" in json.loads(out)["message"]
 
     def test_product_generators_are_known(self, capsys):
         argv = ["coaction", "--manifold", "CP1xCP1", "--bound", "4", "--class", "y[1]"]

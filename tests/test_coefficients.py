@@ -62,6 +62,9 @@ class TestRule:
     def test_parse(self):
         assert type(rational_from_string("6/3")) is int
         assert rational_from_string("-3/6") == Fraction(-1, 2)
+        for text in ("1/0", "0/0"):
+            with pytest.raises(ValueError, match="zero denominator in '%s'" % text):
+                rational_from_string(text)
         p = parse_polynomial("3*c[1] - 4/2*c[2] + 1/2")
         assert_canonical(p.terms.values())
 

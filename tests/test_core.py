@@ -152,6 +152,43 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_polynomial("c[1] @ c[2]")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["x[1] -", "-", "- - c[1]", "1 + -x[1]", "c[1]*-1", "c[1]**2", "c[1]*", "*c[1]"],
+    )
+    def test_sign_or_star_out_of_place_rejected(self, text):
+        # a sign must start a term and a '*' must join two factors
+        with pytest.raises(ParseError):
+            parse_polynomial(text)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "c[1] + 3/0*c[2]"])
+    def test_zero_denominator_rejected(self, text):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_polynomial(text)
+
+    def test_two_coefficients_rejected(self):
+        with pytest.raises(ParseError, match="two coefficients"):
+            parse_polynomial("2 3*c[1]")
+
+    def test_lenient_forms_keep_their_values(self):
+        c1 = gen_id("c", 1)
+        assert poly("2 c[1]").terms == {((c1, 1),): 2}
+        assert poly("c[1] c[1]").terms == {((c1, 2),): 1}
+        assert poly("+c[1]").terms == {((c1, 1),): 1}
+        assert poly("").terms == poly("  ").terms == {}
+
+    @given(polynomials(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stray_sign_or_star_in_canonical_text_rejected(self, p, data):
+        # the canonical text alternates terms and signs, one space apart;
+        # a sign anywhere after the start, or a '*' anywhere, starts no
+        # term or joins no two factors
+        parts = format_polynomial(p).split(" ")
+        stray = data.draw(st.sampled_from("+-*"))
+        parts.insert(data.draw(st.integers(int(stray != "*"), len(parts))), stray)
+        with pytest.raises(ParseError):
+            parse_polynomial(" ".join(parts))
+
 
 class TestTruncatedSeries:
     def test_inverse_example(self):

@@ -187,6 +187,17 @@ def depth_two(mp):
         return {(a, w - a): _depth_two_reference(mp, a, w - a) for w in range(3, 9) for a in range(1, w - 1)}
 
 
+@pytest.mark.parametrize("target", TARGETS + (1e-15,))
+def test_nested_eval_encloses_depth_one(mp, target):
+    # the Hoelder convolution holds at depth 1 too, so _nested_eval can
+    # serve the depth-1 values that mzv_eval still sums in long doubles
+    for s in range(2, 31):
+        (center, radius), enc = mzv._nested_eval([((s,), 1)], target)
+        ref = mp.zeta(s)
+        assert abs(_mpq(mp, center) - ref) <= _mpq(mp, radius), s
+        _assert_encloses(mp, enc, ref, target)
+
+
 @pytest.mark.parametrize("target", TARGETS)
 class TestHolderEvaluator:
     @pytest.mark.parametrize("k", range(3, 8))
