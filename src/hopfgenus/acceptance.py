@@ -292,9 +292,17 @@ CRITERIA = [
 
 def run_all(degree=30, only=None):
     """Run the criteria at truncation degree ``degree``; returns a list
-    of result dicts sorted by id."""
+    of result dicts sorted by id.
+
+    ``only``, when given, is the set of criterion ids to run; an id that
+    names no criterion raises ValueError, so a mistyped id cannot turn
+    the run into a vacuous pass.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    unknown = sorted(set(only or ()) - {cid for cid, _, _ in CRITERIA})
+    if unknown:
+        raise ValueError("unknown criterion ids %s" % unknown)
     results = []
     for cid, name, fn in CRITERIA:
         if only is not None and cid not in only:

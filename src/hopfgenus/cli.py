@@ -6,13 +6,18 @@ a flag it does not read, or that only another action of it reads, is a
 usage error.  The config file may set all
 five keys, so one file serves every subcommand.  Config precedence is
 flags > config file > defaults, and the effective config is echoed into
-every JSON report.  Each subcommand handler returns its report text and
-exit code; ``main`` writes the text once, to ``--output`` or stdout.
+every JSON report.  The handlers compute: each returns its report
+fields, its text form (``None`` for a subcommand that prints only JSON)
+and its exit code.  ``main`` renders, maps and writes: it renders the
+fields as the JSON report when there is no text or ``--format json`` is
+in effect, maps every error to its JSON object, and writes once, to
+``--output`` or stdout.
 Errors come back on stdout as JSON objects with a stable ``code`` field:
 exit 0 on success, 1 on computation errors, 2 on usage or config errors.
 Usage errors caught by the parser itself are ``parse-error`` objects too,
-and so is a flag value that the library rejects while building its
-inputs; an input file that cannot be opened is a ``config-error``.
+and so is a flag value that the library rejects while a handler builds
+its inputs (``_flag_value``); an input file that cannot be opened is a
+``config-error``.
 Output is deterministic (sorted keys, sorted rows).
 """
 
@@ -117,12 +122,18 @@ def _report(cfg, **fields):
     return _json_dump(fields)
 
 
-def _rows_text(header, rows, cfg):
-    if cfg["format"] == "json":
-        return _report(cfg, columns=header, rows=rows)
-    lines = [",".join(header)]
-    lines += [",".join(str(x) for x in r) for r in rows]
-    return "\n".join(lines)
+def _table(header, rows):
+    # the report fields and the CSV text of a table
+    text = "\n".join([",".join(header)] + [",".join(str(x) for x in r) for r in rows])
+    return {"columns": header, "rows": rows}, text
+
+
+def _flag_value(build, *args, message=None):
+    # a flag value that the library rejects while a handler builds its inputs
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise CLIError("parse-error", message or str(exc), 2)
 
 
 def _reject_unread(args, action, *flags):
@@ -150,31 +161,24 @@ def _cmd_symm(args, cfg):
     report = {"identity": args.which, "max_weight": args.max_weight, "status": "exact-match"}
     if mismatch is not None:
         report.update(status="mismatch", first_mismatch_weight=mismatch)
-    return _report(cfg, **report), 0 if mismatch is None else 1
+    return report, None, 0 if mismatch is None else 1
 
 
 def _cmd_qsymm(args, cfg):
     _check_size("--bound", args.bound, least=1)
-    try:
-        profile = qsymm.GeneratorProfile.from_text(args.profile)
-    except ValueError as exc:
-        raise CLIError("parse-error", str(exc), 2)
+    profile = _flag_value(qsymm.GeneratorProfile.from_text, args.profile)
     if args.action == "hilbert":
         dims = qsymm.free_algebra_hilbert(profile, args.bound, args.flavor or "associative")
         rows = [(n, dims[n]) for n in range(args.bound + 1)]
-        return _rows_text(("degree", "dim"), rows, cfg), 0
+        return (*_table(("degree", "dim"), rows), 0)
     _reject_unread(args, "qsymm lyndon", "flavor")
     words = qsymm.lyndon_generators(args.bound, profile)
-    if cfg["format"] == "json":
-        return _report(cfg, weight=args.bound, words=words), 0
-    return "\n".join(qsymm.format_composition(w) for w in words) or "(none)", 0
+    text = "\n".join(qsymm.format_composition(w) for w in words) or "(none)"
+    return {"weight": args.bound, "words": words}, text, 0
 
 
 def _cmd_mzv(args, cfg):
-    try:
-        idx = qsymm.parse_composition(args.index)
-    except ValueError as exc:
-        raise CLIError("parse-error", str(exc), 2)
+    idx = _flag_value(qsymm.parse_composition, args.index)
     try:
         enc = mzv.mzv_eval(idx, cfg["error"])
     except mzv.DivergentIndexError as exc:
@@ -185,23 +189,22 @@ def _cmd_mzv(args, cfg):
         # the config checked the target, so the library rejected the index
         raise CLIError("parse-error", str(exc), 2)
     report = {"index": idx, "value": enc.value, "error_bound": enc.error_bound, "admissible": True}
-    return _report(cfg, **report), 0
+    return report, None, 0
+
+
+_ALGEBRAS = {
+    "exterior": homology.exterior_algebra,
+    "squarezero": homology.square_zero_extension,
+}
 
 
 def _parse_algebra(text, bound):
     kind, _, rest = text.partition(":")
-    try:
-        degrees = [int(d) for d in rest.split(",") if d]
-    except ValueError:
-        raise CLIError("parse-error", "bad algebra degrees in %r" % text, 2)
-    try:
-        if kind == "exterior":
-            return homology.exterior_algebra(degrees, bound)
-        if kind == "squarezero":
-            return homology.square_zero_extension(degrees, bound)
-    except ValueError as exc:
-        raise CLIError("parse-error", str(exc), 2)
-    raise CLIError("parse-error", "unknown algebra kind %r" % kind, 2)
+    bad = "bad algebra degrees in %r" % text
+    degrees = [_flag_value(int, d, message=bad) for d in rest.split(",") if d]
+    if kind not in _ALGEBRAS:
+        raise CLIError("parse-error", "unknown algebra kind %r" % kind, 2)
+    return _flag_value(_ALGEBRAS[kind], degrees, bound)
 
 
 def _cmd_tor(args, cfg):
@@ -209,7 +212,7 @@ def _cmd_tor(args, cfg):
     table = homology.tor_via_bar(_parse_algebra(args.algebra, args.bound), args.bound)
     rows = [(s, t, s + t, d) for s, t, d in table.nonzero()]
     rows.sort(key=lambda r: (r[2], r[0]))
-    return _rows_text(("s", "t", "total", "dim"), rows, cfg), 0
+    return (*_table(("s", "t", "total", "dim"), rows), 0)
 
 
 def _cmd_series(args, cfg):
@@ -217,7 +220,7 @@ def _cmd_series(args, cfg):
     poly_start = 2 if cfg["model"] == "kge0" else 6
     dims = homology.coefficient_ring_series(args.which, args.bound, polynomial_start=poly_start)
     rows = [(n, dims[n]) for n in range(args.bound + 1)]
-    return _rows_text(("degree", "dim"), rows, cfg), 0
+    return (*_table(("degree", "dim"), rows), 0)
 
 
 def _load_manifold(args):
@@ -256,17 +259,12 @@ def _parse_t(text):
         if not piece:
             continue
         k, _, v = piece.partition(":")
-        try:
-            k, v = int(k), rational_from_string(v)
-        except ValueError:
-            raise CLIError("parse-error", "bad deformation entry %r" % piece, 2)
+        bad = "bad deformation entry %r" % piece
+        k, v = _flag_value(int, k, message=bad), _flag_value(rational_from_string, v, message=bad)
         if k in entries:
             raise CLIError("parse-error", "deformation index %d appears more than once" % k, 2)
         entries[k] = v
-    try:
-        return genus_mod.DeformationParameters.from_dict(entries)
-    except ValueError as exc:
-        raise CLIError("parse-error", str(exc), 2)
+    return _flag_value(genus_mod.DeformationParameters.from_dict, entries)
 
 
 def _cmd_genus(args, cfg):
@@ -282,7 +280,8 @@ def _cmd_genus(args, cfg):
         include = cfg["model"] == "kge0"
         value = genus_mod.deform_genus(model, series, params, include_ch1=include)
         report["t"] = {str(k): str(v) for k, v in params.entries}
-    return _report(cfg, value=str(value), **report), 0
+    report["value"] = str(value)
+    return report, None, 0
 
 
 def _cmd_coaction(args, cfg):
@@ -298,29 +297,23 @@ def _cmd_coaction(args, cfg):
         or "1": format_polynomial(poly)
         for alpha, poly in psi.items()
     }
-    report = {"manifold": model.name, "class": format_polynomial(cls), "bound": args.bound}
-    return _report(cfg, components=comps, **report), 0
+    report = {"manifold": model.name, "class": comps["1"], "bound": args.bound, "components": comps}
+    return report, None, 0
 
 
 def _cmd_acceptance(args, cfg):
     from . import acceptance as acceptance_mod  # only this command runs the suite
 
     only = set(args.only) if args.only else None
-    unknown = sorted(only - {cid for cid, _, _ in acceptance_mod.CRITERIA}) if only else []
-    if unknown:
-        raise CLIError("parse-error", "--only: unknown criterion ids %s" % unknown, 2)
-    results = acceptance_mod.run_all(cfg["degree"], only=only)
+    results = _flag_value(acceptance_mod.run_all, cfg["degree"], only)
     ok = acceptance_mod.all_passed(results)
-    code = 0 if ok else 1
-    if cfg["format"] == "json":
-        return _report(cfg, results=results, all_passed=ok), code
     lines = [
         "[%s] %2d %-20s %7.2fs  %s"
         % (r["status"].upper(), r["id"], r["name"], r["seconds"], r["detail"])
         for r in results
     ]
     lines.append("result: %s" % ("all passed" if ok else "FAILURES"))
-    return "\n".join(lines), code
+    return {"results": results, "all_passed": ok}, "\n".join(lines), 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +413,9 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         cfg = _effective_config(args)
-        text, code = args.fn(args, cfg)
+        fields, text, code = args.fn(args, cfg)
+        if text is None or cfg["format"] == "json":
+            text = _report(cfg, **fields)
         _emit(text, cfg["output"])
         return code
     except CLIError as exc:

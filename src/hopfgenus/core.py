@@ -8,7 +8,8 @@ printer round-trip bit-exactly.  The parser reads one term at a time:
 every term after the first starts with a sign, and a term's factors
 ``p``, ``p/q`` or ``f[i]^e`` are joined by ``*``, whitespace or nothing,
 with at most one coefficient.  A dangling sign, a ``*`` that is not
-between two factors and a zero denominator raise ``ParseError``.
+between two factors, a zero denominator and a generator that no id can
+hold (``c[0]``, an index past the id's range) raise ``ParseError``.
 
 Exact coefficients follow the rule of ``rational``: an integral value is
 an ``int`` and a ``Fraction`` has denominator > 1.  The arithmetic keeps
@@ -736,8 +737,14 @@ def parse_polynomial(text, degree_of=None):
                 except ValueError as exc:
                     raise ParseError(str(exc)) from None
             else:
-                idx = int(idx)
-                gid = gen_id(fam, idx, degree_of(fam, idx))
+                try:
+                    idx = int(idx)
+                    gid = gen_id(fam, idx, degree_of(fam, idx))
+                except ParseError:
+                    raise
+                except ValueError as exc:
+                    # a generator the grammar reads but a generator id cannot hold
+                    raise ParseError("bad generator %s[%s]: %s" % (fam, idx, exc)) from None
                 gens[gid] = gens.get(gid, 0) + int(exp or 1)
         c = 1 if coeff is None else coeff
         mon = tuple(sorted((g, e) for g, e in gens.items() if e))

@@ -516,9 +516,11 @@ def coaction(model, cls, bound):
     Returns a dict alpha -> cohomology class, alpha a sorted tuple of
     (odd index j, multiplicity); beta_alpha is the dual monomial basis
     of Q[y_{4i+2}] and carries polynomial degree 2*sum(j m_j) <= bound.
+    ``cls`` is first reduced into the model's ring, and the alpha = ()
+    component is that reduced class, zero included.
     """
     dvals = _d_class_images(model)
-    out = {(): cls}
+    out = {(): model.reduce(cls)}
     # alpha extends its parent, alpha less one d_j of its largest j, which
     # comes earlier; tags above 2*dim_c vanish in the ring, so alpha stops there.
     for alpha in _alpha_partitions(min(bound, 2 * model.dim_c), dvals)[1:]:
@@ -532,8 +534,8 @@ def coaction(model, cls, bound):
 
 
 def counit_check(model, cls, bound):
-    """counit . coaction = identity: the beta_() component is x itself."""
-    return coaction(model, cls, bound)[()] == cls
+    """counit . coaction = identity: the beta_() component is x in the ring."""
+    return coaction(model, cls, bound)[()] == model.reduce(cls)
 
 
 def _add_alpha(a, b):

@@ -84,7 +84,6 @@ least one ulp of the value.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -253,19 +252,14 @@ def _width(N, r, B):
 def _terms(B, r):
     """The least N >= B whose depth-r tail is at most N units 2^-B.
 
-    The condition is monotone in N: the ratio bound, once it holds, makes
-    the tail shrink by 3/4 per step while N grows.  Doubling steps bracket
-    the least N and bisection finds it.  Calls repeat a few (B, r), so the
-    answers are cached.
+    A plain scan up from B finds it: the tail, 4 (N+1)^(r-1) 2^(B-N-1)
+    units, falls to N within about (r - 1) log2(N) + 1 steps.  Calls
+    repeat a few (B, r), so the answers are cached.
     """
-
-    def ok(N):
-        return _ratio_below_three_quarters(N, r) and _tail_units(N, r, B) <= N
-
-    hi = max(B, 1)  # doubling 0 stays 0
-    while not ok(hi):
-        hi *= 2
-    return B + bisect_left(range(B, hi + 1), True, key=ok)
+    N = B
+    while not (_ratio_below_three_quarters(N, r) and _tail_units(N, r, B) <= N):
+        N += 1
+    return N
 
 
 def _suffix_polylogs(index, B, N, levels):

@@ -23,3 +23,17 @@ def test_criterion(cid):
     if status == "skipped":
         pytest.skip(detail)
     assert status == "pass", "criterion %d (%s): %s" % (cid, name, detail)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(degree=0), "degree must be >= 1"),
+        (dict(only={4, 99, 0}), r"unknown criterion ids \[0, 99\]$"),
+    ],
+    ids=["degree", "unknown-id"],
+)
+def test_run_all_refuses_bad_input(kwargs, message):
+    # an unknown id must not turn the run into a vacuous pass
+    with pytest.raises(ValueError, match=message):
+        acceptance.run_all(**kwargs)

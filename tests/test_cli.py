@@ -537,6 +537,16 @@ class TestCoactionCommand:
         assert report["components"]["1"] == "1"
         assert run(argv + ["1"], capsys) == (0, out)
 
+    @pytest.mark.parametrize("cls, ring", [("x[1]^3", "0"), ("x[1]^5 + 1", "1"), ("x[1]^3 + x[1]", "x[1]")])
+    def test_class_is_taken_in_the_ring(self, capsys, cls, ring):
+        # x^3 = 0 on CP2: the report echoes the class in the ring
+        argv = ["coaction", "--manifold", "CP2", "--bound", "4", "--class"]
+        code, out = run(argv + [cls], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["class"] == report["components"]["1"] == ring
+        assert report == json.loads(run(argv + [ring], capsys)[1])
+
     @pytest.mark.parametrize("cls", ["c[1]", "x[2]", "x[1] + y[1]"])
     def test_generator_not_in_the_model(self, capsys, cls):
         argv = ["coaction", "--manifold", "CP2", "--bound", "4", "--class", cls]

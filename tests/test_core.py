@@ -50,6 +50,11 @@ class TestGeneratorIds:
         with pytest.raises(ValueError):
             gen_id("c", 1, 0)
 
+    @pytest.mark.parametrize("index", [-1, 1 << 24])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match="generator index out of range: %d" % index):
+            gen_id("c", index, 1)
+
 
 coeffs = st.builds(
     Q, st.integers(-50, 50), st.integers(1, 9)
@@ -98,6 +103,7 @@ class TestGradedPolynomial:
         assert p.truncate(2) == poly("c[1]")
         assert p.homogeneous_part(3) == poly("c[1]*c[2]")
         assert p.max_degree() == 4
+        assert GradedPolynomial.zero().max_degree() == -1
 
     def test_truncate_drops_terms_above_cap(self):
         p = poly("1 + c[1] + c[2] + c[1]*c[2] + c[3] + c[1]*c[3]")
@@ -164,6 +170,16 @@ class TestTextFormat:
     @pytest.mark.parametrize("text", ["1/0", "0/0", "c[1] + 3/0*c[2]"])
     def test_zero_denominator_rejected(self, text):
         with pytest.raises(ParseError, match="zero denominator"):
+            parse_polynomial(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["c[0]", "c[99999999]", "1 + c[%s]" % ("9" * 5000)],
+        ids=["degree-zero", "index-past-the-id", "index-past-the-digit-limit"],
+    )
+    def test_generator_without_an_id_rejected(self, text):
+        # the grammar reads the generator, but no generator id can hold it
+        with pytest.raises(ParseError, match=r"bad generator c\["):
             parse_polynomial(text)
 
     def test_two_coefficients_rejected(self):
@@ -335,3 +351,18 @@ def test_scaling_keeps_the_bits(kind, s):
         assert _bits((s * p).terms) == _bits(left), coeffs
         assert _bits(a.scale(s).terms) == _bits(qsymm), coeffs
         assert type(p * s) is GradedPolynomial and type(a.scale(s)) is QSymmElement
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: poly("c[1]") ** -1, ValueError, "negative power"),
+        (lambda: TruncatedSeries([]), ValueError, "at least the degree-0 component"),
+        (lambda: PowerSeries1([0, 2, 1]).compose_inverse(), ConstantTermError, r"f = x \+ O\(x\^2\)"),
+        (lambda: PowerSeries1([1, 1, 1]).compose_inverse(), ConstantTermError, r"f = x \+ O\(x\^2\)"),
+    ],
+    ids=["negative-power", "empty-series", "inverse-linear-term", "inverse-constant-term"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

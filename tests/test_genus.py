@@ -652,6 +652,14 @@ class TestModuleSeriesAndCoaction:
         x = G.GradedPolynomial.generator("x", 1, degree=2)
         assert psi[((1, 1),)] == x * (-4)
 
+    def test_class_is_reduced_into_the_ring(self, cp2):
+        # x^3 = 0 on CP2: the coaction starts from the class in the ring
+        x = G.GradedPolynomial.generator("x", 1, degree=2)
+        one = GradedPolynomial.one()
+        assert G.coaction(cp2, x**3, 12) == {(): GradedPolynomial.zero()}
+        assert G.coaction(cp2, x**5 + one, 12) == G.coaction(cp2, one, 12)
+        assert G.counit_check(cp2, x**3 + x, 12)
+
     def test_counit(self, cp2):
         for cls in [GradedPolynomial.one(), G.chern_character(cp2, 1)]:
             assert G.counit_check(cp2, cls, 12)
@@ -688,3 +696,41 @@ def _alpha_exponent_vectors(max_tag, dvals):
 
     rec([], 0, max_tag)
     return sorted(out, key=lambda a: (sum(2 * j * m for j, m in a), a))
+
+
+_CP1_JSON = {
+    "name": "myCP1",
+    "dim_c": 1,
+    "generators": [{"sym": "x", "deg": 2, "nilpotency": 1}],
+    "total_chern": "1 + 2*x[1]",
+    "volume_monomial": "x[1]",
+}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: G.manifold_from_json(dict(_CP1_JSON, total_chern="2 + 2*x[1]")), "constant term 1"),
+        (lambda: G.cp(-1), "dimension must be nonnegative"),
+        (lambda: G.embed_factor(G.cp(2), 0, GradedPolynomial.one()), "CP2 is not a product model"),
+        (lambda: G.manifold_from_json({k: v for k, v in _CP1_JSON.items() if k != "dim_c"}), "missing key 'dim_c'"),
+        (lambda: G.manifold_from_json(dict(_CP1_JSON, generators=["x"])), "a generator must be a JSON object"),
+        (lambda: G.chern_character(G.cp(1), -1), "k must be nonnegative"),
+        (lambda: G.series_from_exponential(PowerSeries1([1, 1, 0])), r"exponential must start x \+"),
+        (lambda: G.genus_from_exponential(PowerSeries1([0, 1, 0]), 2), "truncated below degree 3"),
+        (lambda: G.gamma_exponential(0, None), "bound must be at least 1"),
+        (lambda: G.multiplicative_class(G.cp(3), G.todd_series(2)), "series truncated below the dimension"),
+    ],
+    ids=[
+        "chern-constant-term", "cp-negative", "embed-not-product", "json-missing-key",
+        "json-generator-not-object", "ch-negative", "exponential-start", "exponential-truncated",
+        "gamma-bound", "series-truncated",
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_cp0_is_the_point():
+    assert G.cp(0) == G.point()

@@ -418,3 +418,23 @@ class TestSeries:
                 if sum(sub) <= bound:
                     brute[sum(sub)] += 1
         assert H.exterior_series(degrees, bound) == brute
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: H.GradedAlgebraPresentation((), (), {}, 4), "basis must start with the unit"),
+        (lambda: H.GradedAlgebraPresentation(("x",), (1,), {}, 4), "basis must start with the unit"),
+        (lambda: H.tor_via_bar(H.exterior_algebra([3], 6), -1), "bound must be nonnegative"),
+        (lambda: H.coefficient_ring_series(H.SOMEGA, -1), "bound must be nonnegative"),
+        (lambda: H.coefficient_ring_series(H.THH, 8, polynomial_start=4), r"degrees 4i\+2"),
+        (lambda: H.coefficient_ring_series("Foo", 8), "unknown series 'Foo'"),
+    ],
+    ids=[
+        "empty-basis", "no-unit", "tor-negative-bound", "series-negative-bound",
+        "series-polynomial-start", "series-unknown",
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

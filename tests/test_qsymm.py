@@ -253,9 +253,27 @@ class TestHilbert:
             ("odd:2", "odd profile must start at an odd weight"),
             ("arith:0:1", "profile weights must be positive"),
             ("arith:1:0", "profile weights must be positive"),
+            ("set:0", "explicit profile must be nonempty positive"),
+            ("set:3,-1", "explicit profile must be nonempty positive"),
         ],
     )
     def test_out_of_range_profile_keeps_its_message(self, text, message):
         with pytest.raises(ValueError) as info:
             GeneratorProfile.from_text(text)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GeneratorProfile(explicit=()), "explicit profile must be nonempty positive"),
+        (lambda: lyndon_generators(0), "weight must be positive"),
+        (lambda: free_algebra_hilbert(GeneratorProfile.all_positive(), 0), "bound must be positive"),
+        (lambda: free_algebra_hilbert(GeneratorProfile.all_positive(), 4, "free"), "unknown flavor 'free'"),
+        (lambda: qsymm.polynomial_hilbert([2, 0], 4), "degrees must be positive"),
+    ],
+    ids=["empty-profile", "lyndon-weight", "hilbert-bound", "hilbert-flavor", "polynomial-degree"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

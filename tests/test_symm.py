@@ -573,3 +573,24 @@ class TestNoAliasing:
         assert [dict(c.terms) for c in series.comps] == comps
         assert log.comps[1].terms is not series.comps[1].terms
         assert _snapshot_caches() == before
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: symm.SymmFn("Z", GradedPolynomial.one()), "unknown basis 'Z'"),
+        (lambda: symm.sym_gen(symm.M, 2), "the monomial basis is not multiplicative"),
+        (lambda: symm._gen_table(symm.M, symm.E, 3), "no conversion M -> E"),
+        (lambda: symm.primitive_space(3, "BO"), "unknown model 'BO'"),
+        (lambda: symm.indecomposables(3, [0, 3]), "generator weights must be positive"),
+    ],
+    ids=["symmfn-basis", "sym-gen-monomial", "gen-table-monomial", "primitive-model", "indecomposable-weight"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_weight_zero_is_empty():
+    assert symm.primitive_space(0) == [] and symm.primitive_space(-1, symm.BU) == []
+    assert symm.indecomposables(0) == (0, [])
