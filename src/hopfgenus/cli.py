@@ -19,6 +19,12 @@ and so is a flag value that the library rejects while a handler builds
 its inputs (``_flag_value``); an input file that cannot be opened is a
 ``config-error``.
 Output is deterministic (sorted keys, sorted rows).
+
+The parser is built once per process.  An argv whose first word names a
+subcommand goes straight to that subcommand's parser, which is what the
+full parser would hand it, so each argv is scanned once; ``main`` sets
+``command`` itself.  Any other argv (empty, ``-h`` or an unknown name)
+goes through the full parser, which prints the help or reports the error.
 """
 
 import argparse
@@ -339,6 +345,8 @@ def _add_common(sub, *keys):
 def build_parser():
     p = _Parser(prog="hopfgenus")
     subs = p.add_subparsers(dest="command", required=True)
+    # name -> subcommand parser, for main's direct dispatch
+    p.commands = subs.choices
 
     s = subs.add_parser("symm", help="symmetric-function identity checks")
     s.add_argument("action", choices=["identity-check"])
@@ -409,9 +417,22 @@ def _parser():
     return build_parser()
 
 
+def _parse_args(argv):
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        # no argv, -h or an unknown name: the full parser reports it
+        return parser.parse_args(argv)
+    # the full parser would hand the rest to this subparser unchanged
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         cfg = _effective_config(args)
         fields, text, code = args.fn(args, cfg)
         if text is None or cfg["format"] == "json":

@@ -14,13 +14,25 @@ The deformation torsor multiplies the multiplicative class by
 exp(sum_k t_k ch_k(tau)), k odd, ch_k = N_k / k!; parameters add, so the
 action is a group law on the nose.  The coaction model pairs cohomology
 classes with monomials in the odd d-classes, d = c(conjugate tau) / c(tau).
+
+Data that no request changes is computed once per process, in bounded
+``lru_cache``s keyed by value: ``catalog_model`` by name (64), the
+coefficients behind ``a_hat_series`` and ``todd_series`` by bound (64
+each; every call still returns a fresh series), the log Q coefficients
+by Q's exact coefficients up to the dimension (64), and a model's Newton
+classes (128, with ``conjugate``) and odd d-classes (64).  The last two
+keep only models whose total Chern class has exact coefficients, since
+model equality identifies 1 with 1.0; other models are computed on every
+call.  Cached values are tuples or read-only mappings.  No genus value,
+deformation or coaction is cached.
 """
 
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce, wraps
+from types import MappingProxyType
 
 from . import symm
 from .core import (
@@ -223,8 +235,12 @@ CATALOG = {
 }
 
 
+@lru_cache(maxsize=64)
 def catalog_model(name):
-    """Look up 'CP2' or a product of catalog entries like 'CP1xCP1xCP2'."""
+    """Look up 'CP2' or a product of catalog entries like 'CP1xCP1xCP2'.
+
+    A model is immutable, so each name is built once per process.
+    """
     factors = name.split("x")
     if not all(f in CATALOG for f in factors):
         raise KeyError("unknown manifold %r" % name)
@@ -235,14 +251,37 @@ def catalog_model(name):
 # Chern characters
 
 
+def _exact_models_cached(maxsize):
+    """Keep f(model, *args) once per process for a model with exact Chern data.
+
+    Model equality identifies 1 with 1.0, so a float or complex model
+    would hit an exact model's entry and get values of the wrong kind;
+    such a model is computed on every call.  Results are shared between
+    callers, so f returns tuples or read-only mappings.
+    """
+
+    def wrap(f):
+        cached = lru_cache(maxsize=maxsize)(f)
+
+        @wraps(f)
+        def call(model, *args):
+            exact = all(is_exact(c) for c in model.total_chern.terms.values())
+            return (cached if exact else f)(model, *args)
+
+        return call
+
+    return wrap
+
+
 def _chern_series(model, conjugate=False):
     """c(tau) up to real degree 2*dim_c; c(conjugate tau) negates c_i, i odd."""
     c = TruncatedSeries.from_polynomial(model.total_chern, 2 * model.dim_c)
     return TruncatedSeries([-p if conjugate and d % 4 == 2 else p for d, p in enumerate(c.comps)])
 
 
+@_exact_models_cached(maxsize=128)
 def _newton_classes(model, conjugate=False):
-    """[N_1(tau), ..., N_n(tau)], n = dim_c, from t c'(t)/c(t).
+    """(N_1(tau), ..., N_n(tau)), n = dim_c, from t c'(t)/c(t).
 
     N_k = (-1)^(k-1) k [weight k] log c(tau), and ``log_scaled`` carries
     the real degree: its component 2k is 2k times that of log c, so each
@@ -250,7 +289,7 @@ def _newton_classes(model, conjugate=False):
     """
     scaled = _chern_series(model, conjugate).log_scaled()
     n = model.dim_c
-    return [model.reduce(scaled.comps[2 * k] / ((-1) ** (k - 1) * 2)) for k in range(1, n + 1)]
+    return tuple(model.reduce(scaled.comps[2 * k] / ((-1) ** (k - 1) * 2)) for k in range(1, n + 1))
 
 
 def _ch_from_newton(newton, k):
@@ -293,17 +332,27 @@ def primitivity_check(a, b, k):
 
 def a_hat_series(bound):
     """Q(x) = (x/2)/sinh(x/2) over the rationals."""
+    return PowerSeries1(_a_hat_coeffs(bound))
+
+
+@lru_cache(maxsize=64)
+def _a_hat_coeffs(bound):
     coeffs = [Q(0)] * (bound + 1)
     for k in range(0, bound + 1, 2):
         # sinh(x/2)/(x/2) has [x^2k] = 1/(4^k (2k+1)!)
         coeffs[k] = Q(1, 4 ** (k // 2) * math.factorial(k + 1))
-    return PowerSeries1(coeffs).inverse()
+    return tuple(PowerSeries1(coeffs).inverse().coeffs)
 
 
 def todd_series(bound):
     """Q(x) = x/(1 - e^{-x})."""
+    return PowerSeries1(_todd_coeffs(bound))
+
+
+@lru_cache(maxsize=64)
+def _todd_coeffs(bound):
     denom = [Q((-1) ** k, math.factorial(k + 1)) for k in range(bound + 1)]
-    return PowerSeries1(denom).inverse()
+    return tuple(PowerSeries1(denom).inverse().coeffs)
 
 
 def series_from_exponential(f):
@@ -426,13 +475,19 @@ def _exp_argument(model, q_series=None, params=DeformationParameters(), include_
             raise ValueError("series truncated below the dimension")
         if not all(is_exact(c) for c in q_series.coeffs):
             raise ValueError("multiplicative_class needs exact coefficients")
-        l = PowerSeries1(q_series.coeffs[: n + 1]).log().coeffs
+        l = _log_coeffs(tuple(q_series.coeffs[: n + 1]))
         for m, nm in enumerate(newton, 1):
             add_into(arg, (nm * l[m]).terms)
     for k, v in params.entries:
         if include_ch1 or k != 1:
             add_into(arg, (_ch_from_newton(newton, k) * v).terms)
     return GradedPolynomial(arg)
+
+
+@lru_cache(maxsize=64)
+def _log_coeffs(coeffs):
+    """The coefficients of log Q, for Q's exact coefficients up to the dimension."""
+    return tuple(PowerSeries1(coeffs).log().coeffs)
 
 
 def deformation_exponential(model, params, include_ch1=True):
@@ -489,10 +544,12 @@ def morphism_module_series(model, bound):
     ]
 
 
+@_exact_models_cached(maxsize=64)
 def _d_class_images(model):
-    """Odd d-classes d_j(tau), j <= dim_c, of d = c(conjugate tau) / c(tau)."""
+    """Odd d-classes d_j(tau), j <= dim_c, of d = c(conjugate tau) / c(tau),
+    as a read-only mapping j -> d_j."""
     d = _chern_series(model, conjugate=True) / _chern_series(model)
-    return {j: model.reduce(d.comps[2 * j]) for j in range(1, model.dim_c + 1, 2)}
+    return MappingProxyType({j: model.reduce(d.comps[2 * j]) for j in range(1, model.dim_c + 1, 2)})
 
 
 def _alpha_partitions(max_tag, dvals):

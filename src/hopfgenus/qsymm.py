@@ -11,6 +11,7 @@ Compositions are plain tuples of positive integers, serialized as
 ``(2,1,3)``.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -252,7 +253,8 @@ def free_algebra_hilbert(profile, bound, flavor="associative"):
     'polynomial-on-lyndon' (free commutative algebra on Lyndon words).
     By the Chen-Fox-Lyndon factorisation every word is uniquely a
     nonincreasing product of Lyndon words, so the last flavour equals
-    the associative one; it is counted from the generated words.
+    the associative one; it is counted from the generated words, as one
+    factor (1 - t^w)^(-l_w) per weight w with l_w Lyndon words.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -276,12 +278,14 @@ def free_algebra_hilbert(profile, bound, flavor="associative"):
             lie[n] = int(val) // n
         return lie
     if flavor == "polynomial-on-lyndon":
-        counts = [0] * (bound + 1)
-        for n in range(1, bound + 1):
-            counts[n] = len(lyndon_generators(n, profile))
-        return polynomial_hilbert(
-            [w for w in range(1, bound + 1) for _ in range(counts[w])], bound
-        )
+        # (1 - t^w)^(-l) = sum_k C(l + k - 1, k) t^(k w)
+        out = [1] + [0] * bound
+        for w in range(1, bound + 1):
+            l = len(lyndon_generators(w, profile))
+            if l:
+                binom = [math.comb(l + k - 1, k) for k in range(bound // w + 1)]
+                out = [sum(binom[k] * out[n - k * w] for k in range(n // w + 1)) for n in range(bound + 1)]
+        return out
     raise ValueError("unknown flavor %r" % flavor)
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,83 @@ class TestParserReuse:
         code, out = run(["qsymm", "lyndon", "--bound", "4"], capsys)
         assert code == 0
         assert out == "(1,1,2)\n(1,3)\n(4)\n"
+
+
+def _readme_examples():
+    """Every ``hopfgenus ...`` command line of the README's sh blocks."""
+    examples, in_sh = [], False
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("hopfgenus "):
+            examples.append(shlex.split(line, comments=True)[1:])
+    return examples
+
+
+# one argv of each cli-session request kind, in the benchmark's flag order
+_SESSION_ARGVS = [
+    ["symm", "identity-check", "--which", "a-classes", "--max-weight", "8"],
+    ["qsymm", "hilbert", "--flavor", "lie", "--profile", "odd:3", "--bound", "9"],
+    ["qsymm", "lyndon", "--profile", "set:2,3", "--bound", "7", "--format", "json"],
+    ["mzv", "eval", "--index", "(1,4)", "--error", "1e-09"],
+    ["tor", "--algebra", "squarezero:2,5", "--bound", "11", "--format", "csv"],
+    ["series", "--which", "sOmega", "--bound", "13", "--model", "igt0", "--format", "text"],
+    ["genus", "compute", "--manifold", "CP2xCP3", "--series", "Todd", "--format", "json"],
+    ["genus", "deform", "--manifold", "CP4", "--series", "A-hat", "--format", "text",
+     "--t", "1:-2/3,5:4", "--model", "igt0"],
+    ["genus", "compute", "--manifold-file", "m4.json", "--series", "Todd"],
+    ["genus", "deform", "--manifold-file", "m1.json", "--series", "A-hat", "--t", "1:1/2,3:-5"],
+    ["coaction", "--manifold", "CP3", "--class", "x[1]^2", "--bound", "10"],
+]
+
+
+def _outcome(argv, capsys):
+    # exit code and stdout, --help's SystemExit included
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+class TestDirectDispatch:
+    """``main`` hands an argv that starts with a subcommand name to that
+    subcommand's parser; anything else goes through the full parser."""
+
+    def test_readme_has_examples(self):
+        assert len(_readme_examples()) >= 12
+
+    @pytest.mark.parametrize("argv", _readme_examples() + _SESSION_ARGVS, ids=" ".join)
+    def test_namespace_matches_the_full_parser(self, argv, monkeypatch):
+        def refuse(args):
+            raise AssertionError("full parse of %r" % (args,))
+
+        want = cli.build_parser().parse_args(argv)
+        monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+        assert cli._parse_args(argv) == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nosuch"],
+            ["-h", "genus"],
+            ["genus"],
+            ["tor", "--degree", "3"],
+            ["symm", "identity-check", "--which", "x"],
+            ["qsymm", "hilbert", "--bound", "x"],
+        ],
+        ids=" ".join,
+    )
+    def test_errors_match_the_full_parser(self, argv, capsys, monkeypatch):
+        direct = _outcome(argv, capsys)
+        full = cli.build_parser()
+        full.commands = {}  # every argv takes the fallback
+        monkeypatch.setattr(cli, "_parser", lambda: full)
+        assert _outcome(argv, capsys) == direct
+        code, out = direct
+        if argv[:1] != ["-h"]:
+            assert code == 2 and json.loads(out)["code"] == "parse-error"
 
 
 class TestUsageErrors:

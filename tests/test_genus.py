@@ -519,6 +519,22 @@ class TestFloatDeformations:
         exact = G.deform_genus(G.cp(1), G.a_hat_series(2), G.DeformationParameters.from_dict({5: Q(-27, 10000)}))
         assert (type(exact), exact) == (int, 0)
 
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_inexact_model_shares_no_cached_classes(self, kind):
+        # 1 == 1.0 == 1+0j, so the models compare and hash equal; the
+        # exact model's cached classes must not reach the inexact one
+        exact = G.catalog_model("CP1xCP2")
+        chern = former_genus.map_coefficients(exact.total_chern, kind)
+        m = G.ManifoldModel(exact.name, exact.generators, chern, exact.embeddings)
+        assert m == exact and hash(m) == hash(exact)
+        q = G.todd_series(exact.dim_c + 1)
+        assert (type(G.genus(exact, q)), G.genus(exact, q)) == (int, 1)
+        G.coaction(exact, GradedPolynomial.one(), 8)
+        classes = list(G._newton_classes(m)) + list(G._d_class_images(m).values())
+        assert classes and all(type(c) is kind for p in classes for c in p.terms.values())
+        got = G.genus(m, q)
+        assert type(got) is kind and got == pytest.approx(1, rel=1e-12)
+
     def test_exponential_constant_term_is_int_one(self, cp2):
         for t in ({1: 0.5}, {1: 0.5j, 3: 2}, {3: Q(1, 3)}):
             expo = G.deformation_exponential(cp2, G.DeformationParameters.from_dict(t))

@@ -181,12 +181,23 @@ class TestLyndon:
             assert len(words) == lie[n], (text, n)
 
     @pytest.mark.parametrize("text", _PROFILES)
-    def test_polynomial_on_lyndon_equals_associative(self, text):
-        # Chen-Fox-Lyndon: words are nonincreasing products of Lyndon words
+    def test_polynomial_on_lyndon_equals_associative(self, text, monkeypatch):
+        # Chen-Fox-Lyndon: words are nonincreasing products of Lyndon words;
+        # the series takes one factor per weight, counted by the enumeration
         profile = GeneratorProfile.from_text(text)
-        assert free_algebra_hilbert(profile, 12, "polynomial-on-lyndon") == (
-            free_algebra_hilbert(profile, 12, "associative")
-        )
+        asked = []
+
+        def spy(n, p):
+            asked.append(n)
+            return lyndon_generators(n, p)
+
+        monkeypatch.setattr(qsymm, "lyndon_generators", spy)
+        for bound in range(1, 17):
+            asked.clear()
+            assert free_algebra_hilbert(profile, bound, "polynomial-on-lyndon") == (
+                free_algebra_hilbert(profile, bound, "associative")
+            ), bound
+            assert asked == list(range(1, bound + 1)), bound
 
 
 class TestHilbert:
