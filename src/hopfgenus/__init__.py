@@ -5,9 +5,10 @@ Subpackages:
 - core: sparse graded polynomials, truncated multivariate and univariate
   power series, canonical text format
 - symm: the Hopf algebra of symmetric functions (Chern/Newton/complete/
-  monomial bases), d- and a-class generating functions, primitives
-- qsymm: quasisymmetric and noncommutative symmetric functions,
-  quasi-shuffle, Lyndon generators, Hilbert series
+  monomial bases), d- and a-class generating functions, the coproduct
+  and its primitives
+- qsymm: quasisymmetric functions and the quasi-shuffle, Lyndon
+  generators, free-algebra Hilbert series
 - mzv: certified numerical multizeta values and the zeta specialization
 - homology: bar-complex Tor over finite graded algebra presentations and
   the named coefficient-ring dimension tables

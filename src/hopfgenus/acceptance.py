@@ -60,6 +60,11 @@ def _check_primitives(degree):
             ratio = divide(v.coefficient(mon), nk.coefficient(mon))
             if ratio == 0 or v != nk * ratio:
                 return "fail", "weight %d primitive is not a multiple of N_%d" % (k, k)
+        # the E-basis coproduct shares no path with primitive_space's P-basis
+        # one, so a wrong P -> E conversion fails here
+        for f in basis:
+            if not symm.is_primitive(f):
+                return "fail", "weight %d basis vector fails the E-basis coproduct" % k
     return "pass", "BUmodSO primitives: dim 1 in odd weights, spanned by N_k"
 
 

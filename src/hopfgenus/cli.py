@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from . import genus as genus_mod
 from . import homology, mzv, qsymm, symm
-from .core import ParseError, format_polynomial, parse_polynomial
+from .core import format_polynomial, parse_polynomial
 from .rational import rational_from_string
 
 DEFAULTS = {
@@ -293,10 +293,7 @@ def _cmd_genus(args, cfg):
 def _cmd_coaction(args, cfg):
     _check_size("--bound", args.bound)
     model = _load_manifold(args)
-    try:
-        cls = parse_polynomial(args.cls, genus_mod.generator_degrees(model.generators))
-    except ParseError as exc:
-        raise CLIError("parse-error", str(exc))
+    cls = _flag_value(parse_polynomial, args.cls, genus_mod.generator_degrees(model.generators))
     psi = genus_mod.coaction(model, cls, args.bound)
     comps = {
         "".join("y%d^%d" % (2 * j, m) if m > 1 else "y%d" % (2 * j) for j, m in alpha)

@@ -102,7 +102,7 @@ def add_into(acc, terms, scale=None):
 class LinearCombination:
     """Finite linear combination: a dict from basis keys to nonzero coefficients.
 
-    Subclasses fix what the keys mean (monomials, compositions, words)
+    Subclasses fix what the keys mean (monomials, compositions)
     and add their own products; ``symm.coproduct`` returns a plain one
     keyed by pairs of monomials.
     """

@@ -30,7 +30,7 @@ deformation or coaction is cached.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from types import MappingProxyType
 
@@ -47,7 +47,6 @@ from .core import (
     monomial_degree,
     parse_polynomial,
 )
-from .homology import SOMEGA, coefficient_ring_series
 from .rational import Q, canonical, is_exact
 
 EULER_GAMMA = 0.57721566490153286060651209008240243
@@ -97,16 +96,6 @@ class ManifoldModel:
     def pairing(self, poly):
         """Evaluation against the fundamental class."""
         return poly.coefficient(self.generators)
-
-    def betti_numbers(self):
-        """Dimensions of the cohomology per real degree."""
-        out = [0] * (monomial_degree(self.generators) + 1)
-        basis = [()]
-        for gid, nil in self.generators:
-            basis = [b + ((gid, e),) if e else b for b in basis for e in range(nil + 1)]
-        for mon in basis:
-            out[monomial_degree(mon)] += 1
-        return out
 
 
 def point():
@@ -516,32 +505,8 @@ def deform_genus(model, q_series, params, include_ch1=True):
     return value if kind is None else kind(value)
 
 
-@dataclass(frozen=True)
-class DeformedGenus:
-    """A characteristic series together with accumulated deformations."""
-
-    q_series: PowerSeries1 = field(hash=False)
-    params: DeformationParameters = DeformationParameters()
-
-    def deform(self, more):
-        return DeformedGenus(self.q_series, self.params + more)
-
-    def evaluate(self, model, include_ch1=True):
-        return deform_genus(model, self.q_series, self.params, include_ch1)
-
-
 # ---------------------------------------------------------------------------
-# morphism-module series and the coaction model
-
-
-def morphism_module_series(model, bound):
-    """Betti series of M convolved with the sOmega coefficient series."""
-    betti = model.betti_numbers()
-    somega = coefficient_ring_series(SOMEGA, bound)
-    return [
-        sum(betti[i] * somega[n - i] for i in range(min(n, len(betti) - 1) + 1))
-        for n in range(bound + 1)
-    ]
+# the coaction model
 
 
 @_exact_models_cached(maxsize=64)

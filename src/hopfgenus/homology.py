@@ -79,21 +79,6 @@ class GradedAlgebraPresentation:
             return ((i, 1),)
         return self.mult.get((i, j), ())
 
-    def is_associative(self):
-        n = len(self.degrees)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = {}
-                    for m, c in self.multiply(i, j):
-                        add_into(left, self.multiply(m, k), c)
-                    for m, c in self.multiply(j, k):
-                        add_into(left, self.multiply(i, m), -c)
-                    # compare away from the truncation edge only
-                    if any(self.degrees[r] <= self.truncation for r in left):
-                        return False
-        return True
-
 
 def exterior_algebra(gen_degrees, truncation):
     """Exterior algebra on odd-degree generators, truncated at D."""

@@ -147,9 +147,6 @@ class CertifiedReal:
     def contains(self, x):
         return abs(self.value - x) <= self.error_bound
 
-    def overlaps(self, other):
-        return abs(self.value - other.value) <= self.error_bound + other.error_bound
-
 
 def is_admissible(idx):
     idx = tuple(idx)
@@ -157,8 +154,9 @@ def is_admissible(idx):
 
 
 def _check_index(idx):
-    idx = tuple(int(s) for s in idx)
-    if not idx or any(s < 1 for s in idx):
+    idx = tuple(idx)
+    # bool is an int subclass, but True is never an index entry
+    if not idx or any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in idx):
         raise ValueError("index entries must be positive integers: %r" % (idx,))
     if idx[-1] < 2:
         raise DivergentIndexError([idx])

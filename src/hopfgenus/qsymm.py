@@ -1,11 +1,9 @@
-"""Quasisymmetric and noncommutative symmetric functions.
+"""Quasisymmetric functions, Lyndon words and free-algebra Hilbert series.
 
 QSymm elements live in the monomial basis M_alpha indexed by
-compositions; the product is the quasi-shuffle (stuffle).  NSymm is the
-free associative algebra on generators Z_n (words of positive integer
-weights).  The abelianization sends the word (i_1,...,i_k) to
-h_{i_1}...h_{i_k}; its dual is the inclusion Symm -> QSymm sending
-m_lambda to the sum of the distinct rearrangements of lambda.
+compositions; the product is the quasi-shuffle (stuffle).  Also the
+Lyndon words over a generator profile, and the Hilbert series of the
+free associative, free Lie and free commutative algebras built on it.
 
 Compositions are plain tuples of positive integers, serialized as
 ``(2,1,3)``.
@@ -14,17 +12,19 @@ Compositions are plain tuples of positive integers, serialized as
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
-from .core import GradedPolynomial, InvariantError, LinearCombination, PowerSeries1, add_into
+from .core import InvariantError, LinearCombination, PowerSeries1, add_into
 from .rational import canonical
-from . import symm
 
 
 def check_composition(alpha):
+    alpha = tuple(alpha)
+    # bool is an int subclass, but True is never a composition part
+    if any(not isinstance(p, int) or isinstance(p, bool) for p in alpha):
+        raise ValueError("composition parts must be integers: %r" % (alpha,))
     if any(p < 1 for p in alpha):
         raise ValueError("composition parts must be positive: %r" % (alpha,))
-    return tuple(alpha)
+    return alpha
 
 
 def parse_composition(text):
@@ -85,62 +85,6 @@ def quasi_shuffle(x, y):
             c = ca * cb
             add_into(out, ((w, c * mult) for w, mult in _qs_words(alpha, beta)))
     return QSymmElement(out)
-
-
-def deconcatenation_coproduct(x):
-    """Delta M_alpha = sum over splits alpha = beta.gamma of M_beta (x) M_gamma.
-
-    Returned as a dict (beta, gamma) -> coefficient.
-    """
-    out = {}
-    for alpha, c in x.terms.items():
-        add_into(out, (((alpha[:i], alpha[i:]), c) for i in range(len(alpha) + 1)))
-    return out
-
-
-def pairing(word, x):
-    """Duality pairing <word, M_alpha> = delta_{word, alpha}, extended."""
-    return x.terms.get(tuple(word), 0)
-
-
-def symm_into_qsymm(f):
-    """Inclusion Symm -> QSymm: m_lambda -> sum of distinct rearrangements."""
-    f = symm.convert(f, symm.M)
-    out = {}
-    for mon, coeff in f.value.terms.items():
-        lam = symm.monomial_partition(mon)
-        add_into(out, ((alpha, coeff) for alpha in set(permutations(lam))))
-    return QSymmElement(out)
-
-
-class NSymmElement(LinearCombination):
-    """Element of the free associative algebra on generators Z_n."""
-
-    __slots__ = ()
-
-    @classmethod
-    def word(cls, w, coeff=None):
-        return cls({check_composition(w): 1 if coeff is None else canonical(coeff)})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            add_into(out, ((w1 + w2, c1 * c2) for w2, c2 in other.terms.items()))
-        return NSymmElement(out)
-
-    def __repr__(self):
-        items = sorted(self.terms.items())
-        return " + ".join(
-            "%s*Z%s" % (c, format_composition(w)) for w, c in items
-        ) or "0"
-
-
-def abelianize(x):
-    """Ring map NSymm -> Symm sending the word (i_1,..,i_k) to h_{i1}...h_{ik}."""
-    out = {}
-    for word, c in x.terms.items():
-        add_into(out, {symm.partition_monomial(symm.H, word): c})
-    return symm.SymmFn(symm.H, GradedPolynomial(out))
 
 
 # ---------------------------------------------------------------------------

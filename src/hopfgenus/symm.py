@@ -77,14 +77,9 @@ class SymmFn:
         return SymmFn(self.basis, self.value * other)
 
     def __eq__(self, other):
+        if not isinstance(other, SymmFn):
+            return NotImplemented
         return self.basis == other.basis and self.value == other.value
-
-
-def sym_gen(basis, k):
-    """The k-th generator of a multiplicative basis, as a polynomial."""
-    if basis == M:
-        raise ValueError("the monomial basis is not multiplicative")
-    return GradedPolynomial.generator(FAMILY[basis], k)
 
 
 def partitions(n, max_part=None):
@@ -297,6 +292,14 @@ def d_class_mismatch(D):
     return next((k for k in range(D + 1) if lhs.comps[k] != rhs.comps[k]), None)
 
 
+def is_decomposable(poly):
+    """True iff every term has at least two generator factors."""
+    for mon in poly.terms.keys():
+        if sum(e for _, e in mon) < 2:
+            return False
+    return True
+
+
 def a_class_mismatch(D):
     """First weight k in 2..D where a_k breaks the a-class structure, or None.
 
@@ -308,7 +311,7 @@ def a_class_mismatch(D):
         if k % 2 == 0:
             if a.comps[k].coefficient(((gen_id("b", k), 1),)) != 2:
                 return k
-        elif any(len(m) == 1 and m[0][1] == 1 for m in a.comps[k].terms):
+        elif not is_decomposable(a.comps[k]):
             return k
     return None
 
@@ -365,27 +368,6 @@ def is_primitive(f):
     return not _primitive_defect(coproduct(f).terms, f.value.terms)
 
 
-def coassociativity_defect(f):
-    """(Delta (x) id) Delta f - (id (x) Delta) Delta f; empty dict iff OK."""
-    f = convert(f, E)
-    delta = coproduct(f)
-
-    def expand(side):
-        out = {}
-        for (l, r), c in delta.terms.items():
-            inner = coproduct(SymmFn(E, GradedPolynomial({(l if side == 0 else r): 1})))
-            add_into(
-                out,
-                (
-                    ((m1, m2, r) if side == 0 else (l, m1, m2), c * c2)
-                    for (m1, m2), c2 in inner.terms.items()
-                ),
-            )
-        return out
-
-    return add_into(expand(0), expand(1), -1)
-
-
 def primitive_space(k, model=BU_MOD_SO):
     """Basis of the primitive subspace in weight k, in the E basis.
 
@@ -427,36 +409,3 @@ def _coproduct_p_monomial(mon):
                 add_into(new, {key: c * comb(e, a)})
         result = new
     return result
-
-
-# ---------------------------------------------------------------------------
-# indecomposables
-
-
-def indecomposables(weight, generator_weights=None):
-    """Dimension of I/I^2 in a given weight, with one representative.
-
-    I/I^2 of a free commutative algebra is spanned by the images of its
-    generators, so the dimension is the number of generators of that
-    weight, counted with multiplicity.  Generators of one weight are all
-    represented by the Chern class ``c[weight]``, so the representative
-    list holds that class once when the dimension is positive and is
-    empty otherwise; it is not a basis when a weight repeats.  Defaults
-    to the full symmetric algebra (one generator per weight).
-    """
-    if weight < 1:
-        return 0, []
-    if generator_weights is None:
-        generator_weights = list(range(1, weight + 1))
-    if any(g <= 0 for g in generator_weights):
-        raise ValueError("generator weights must be positive")
-    dim = list(generator_weights).count(weight)
-    return dim, [SymmFn(E, sym_gen(E, weight))] if dim else []
-
-
-def is_decomposable(poly):
-    """True iff every term has at least two generator factors."""
-    for mon in poly.terms.keys():
-        if sum(e for _, e in mon) < 2:
-            return False
-    return True

@@ -7,7 +7,8 @@ need more truncation degree than configured skip instead of failing.
 
 import pytest
 
-from hopfgenus import acceptance
+from hopfgenus import acceptance, symm
+from hopfgenus.core import GradedPolynomial
 
 _BY_ID = {cid: (name, fn) for cid, name, fn in acceptance.CRITERIA}
 
@@ -37,3 +38,36 @@ def test_run_all_refuses_bad_input(kwargs, message):
     # an unknown id must not turn the run into a vacuous pass
     with pytest.raises(ValueError, match=message):
         acceptance.run_all(**kwargs)
+
+
+def _c(k):
+    return symm.SymmFn(symm.E, GradedPolynomial.generator("c", k))
+
+
+def _extra_vector(real):
+    # one vector too many in every weight
+    return lambda k, model: real(k, model) + [_c(k)]
+
+
+def _chern_class(real):
+    # c_k in each odd weight: N_1 = c_1, but c_3 is not a multiple of N_3
+    return lambda k, model: [_c(k)] if k % 2 else []
+
+
+@pytest.mark.parametrize(
+    "name, seed, degree, status, detail",
+    [
+        ("is_primitive", lambda real: lambda f: False, 30,
+         "fail", "weight 1 basis vector fails the E-basis coproduct"),
+        ("primitive_space", _extra_vector, 30, "fail", "weight 1: dim 2, want 1"),
+        ("primitive_space", _chern_class, 30, "fail", "weight 3 primitive is not a multiple of N_3"),
+        (None, None, 11, "skipped", "needs truncation degree 12, have 11"),
+    ],
+    ids=["not-primitive", "dimension", "not-a-multiple", "skipped"],
+)
+def test_primitives_criterion_can_fail(monkeypatch, name, seed, degree, status, detail):
+    # criterion 3 with a seeded defect in the one symm entry each branch reads
+    if name is not None:
+        monkeypatch.setattr(symm, name, seed(getattr(symm, name)))
+    (result,) = acceptance.run_all(degree, only={3})
+    assert (result["status"], result["detail"]) == (status, detail)

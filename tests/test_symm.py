@@ -1,5 +1,3 @@
-from itertools import combinations_with_replacement
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,7 +47,7 @@ class TestConversions:
                     symm.M, GradedPolynomial({symm.partition_monomial(symm.M, (k,)): Q(1)})
                 )
             else:
-                f = symm.SymmFn(src, symm.sym_gen(src, k))
+                f = symm.SymmFn(src, GradedPolynomial.generator(symm.FAMILY[src], k))
             back = symm.convert(symm.convert(f, tgt), src)
             assert back == f, (src, tgt, k)
 
@@ -58,11 +56,11 @@ class TestConversions:
     @pytest.mark.parametrize("tgt", [symm.E, symm.P, symm.H, symm.M])
     def test_conversions_commute(self, src, mid, tgt):
         for k in range(1, 8):
-            f = symm.SymmFn(src, symm.sym_gen(src, k))
+            f = symm.SymmFn(src, GradedPolynomial.generator(symm.FAMILY[src], k))
             assert symm.convert(symm.convert(f, mid), tgt) == symm.convert(f, tgt), k
 
     def test_h3_in_chern_classes(self):
-        h3 = symm.convert(symm.SymmFn(symm.H, symm.sym_gen(symm.H, 3)), symm.E)
+        h3 = symm.convert(symm.SymmFn(symm.H, GradedPolynomial.generator(symm.FAMILY[symm.H], 3)), symm.E)
         assert h3.value == parse_polynomial("c[1]^3 - 2*c[1]*c[2] + c[3]")
 
     def test_m_roundtrip_weight_10(self):
@@ -72,7 +70,7 @@ class TestConversions:
 
     def test_m_basis_sum_is_h(self):
         # h_2 = m_(2) + m_(1,1)
-        h2 = symm.SymmFn(symm.H, symm.sym_gen(symm.H, 2))
+        h2 = symm.SymmFn(symm.H, GradedPolynomial.generator(symm.FAMILY[symm.H], 2))
         m = symm.convert(h2, symm.M)
         assert m.value == GradedPolynomial(
             {
@@ -93,7 +91,7 @@ class TestConversions:
         assert _typed_terms(back.value) == _typed_terms(f.value)
 
     def test_e_to_m(self):
-        e2 = symm.SymmFn(symm.E, symm.sym_gen(symm.E, 2))
+        e2 = symm.SymmFn(symm.E, GradedPolynomial.generator(symm.FAMILY[symm.E], 2))
         m = symm.convert(e2, symm.M)
         assert m.value == GradedPolynomial(
             {symm.partition_monomial(symm.M, (1, 1)): Q(1)}
@@ -203,6 +201,15 @@ class TestGeneratingFunctions:
         a = symm.a_classes(12)
         for k in range(2, 13, 2):
             assert a.comps[k].coefficient(((gen_id("b", k), 1),)) == 2, k
+
+    @pytest.mark.parametrize("k, defect", [(5, "b[5]"), (5, "-b[1]*b[4] + b[5]"), (4, "b[4]")])
+    def test_a_class_mismatch_sees_a_seeded_linear_term(self, monkeypatch, k, defect):
+        a = symm.a_classes(7)
+        assert symm.a_class_mismatch(7) is None
+        comps = list(a.comps)
+        comps[k] = comps[k] + parse_polynomial(defect)
+        monkeypatch.setattr(symm, "a_classes", lambda D: TruncatedSeries(comps))
+        assert symm.a_class_mismatch(7) == k
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +358,28 @@ def _primitive_combinations(mons, defects):
     ]
 
 
+def _coassociativity_defect(f):
+    """(Delta (x) id) Delta f - (id (x) Delta) Delta f as a dict, empty iff
+    coassociative: a test-only check on ``symm.coproduct``."""
+    f = symm.convert(f, symm.E)
+    delta = symm.coproduct(f)
+
+    def expand(side):
+        out = {}
+        for (l, r), c in delta.terms.items():
+            inner = symm.coproduct(symm.SymmFn(symm.E, GradedPolynomial({(l if side == 0 else r): 1})))
+            add_into(
+                out,
+                (
+                    ((m1, m2, r) if side == 0 else (l, m1, m2), c * c2)
+                    for (m1, m2), c2 in inner.terms.items()
+                ),
+            )
+        return out
+
+    return add_into(expand(0), expand(1), -1)
+
+
 class TestHopf:
     def test_coproduct_c2(self):
         f = epoly("c[2]")
@@ -382,8 +411,8 @@ class TestHopf:
 
     def test_coassociativity(self):
         for k in range(1, 6):
-            f = symm.SymmFn(symm.E, symm.sym_gen(symm.E, k))
-            assert symm.coassociativity_defect(f) == {}
+            f = symm.SymmFn(symm.E, GradedPolynomial.generator(symm.FAMILY[symm.E], k))
+            assert _coassociativity_defect(f) == {}
 
     @pytest.mark.parametrize("k,dim", [(1, 1), (2, 0), (3, 1), (4, 0), (5, 1), (6, 0)])
     def test_primitive_space_odd_model(self, k, dim):
@@ -475,32 +504,6 @@ class TestDimensionCounts:
         dims = polynomial_hilbert(range(1, 9), 8)
         assert dims == [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
-    def test_indecomposables(self):
-        dim, reps = symm.indecomposables(4, [1, 2, 3, 4])
-        assert dim == 1 and len(reps) == 1
-        assert symm.indecomposables(5, [1, 2, 3, 4])[0] == 0
-
-    def test_indecomposables_repeated_weight(self):
-        # two generators of weight 3: dimension 2, one representative c[3]
-        c3 = symm.SymmFn(symm.E, symm.sym_gen(symm.E, 3))
-        assert symm.indecomposables(3, [2, 3, 3, 5]) == (2, [c3])
-        assert symm.indecomposables(4, [2, 3, 3, 5]) == (0, [])
-
-    def test_indecomposables_count_generators(self):
-        # dim I/I^2 in weight w = all monomials minus those with >= 2 factors
-        for gens in ([1, 2, 3, 4, 5, 6], [2, 3, 3, 5], [1, 3, 5]):
-            total = polynomial_hilbert(gens, 6)
-            gens_indexed = list(enumerate(gens))
-            for w in range(1, 7):
-                decomposable = sum(
-                    1
-                    for r in range(2, w + 1)
-                    for mon in combinations_with_replacement(gens_indexed, r)
-                    if sum(g for _, g in mon) == w
-                )
-                assert symm.indecomposables(w, gens)[0] == total[w] - decomposable
-        assert symm.indecomposables(5) == (1, [symm.SymmFn(symm.E, symm.sym_gen(symm.E, 5))])
-
     def test_is_decomposable(self):
         assert symm.is_decomposable(parse_polynomial("c[1]*c[2]"))
         assert not symm.is_decomposable(parse_polynomial("c[3]"))
@@ -511,11 +514,17 @@ class TestArithmetic:
     @settings(max_examples=20, deadline=None)
     def test_product_consistency_across_bases(self, i, j):
         # (e_i * e_j) converted to P equals (convert then multiply)
-        a = symm.SymmFn(symm.E, symm.sym_gen(symm.E, i))
-        b = symm.SymmFn(symm.E, symm.sym_gen(symm.E, j))
+        a = symm.SymmFn(symm.E, GradedPolynomial.generator(symm.FAMILY[symm.E], i))
+        b = symm.SymmFn(symm.E, GradedPolynomial.generator(symm.FAMILY[symm.E], j))
         direct = symm.convert(a * b, symm.P)
         indirect = symm.convert(a, symm.P) * symm.convert(b, symm.P)
         assert direct == indirect
+
+    def test_equality_with_other_types(self):
+        one = symm.SymmFn(symm.E, GradedPolynomial.one())
+        assert one == symm.SymmFn(symm.E, GradedPolynomial.one())
+        assert one != 1 and not one == GradedPolynomial.one()
+        assert one not in [None, "E"]
 
     def test_operators_across_bases(self):
         # each operator against converting its operands first; a product
@@ -567,7 +576,7 @@ class TestNoAliasing:
         g = symm.SymmFn(symm.E, parse_polynomial("c[4] - 2*c[1]*c[3] + c[2]^2"))
         symm.coproduct(g)
         symm.is_primitive(g)
-        symm.coassociativity_defect(g)
+        _coassociativity_defect(g)
         symm.primitive_space(4, symm.BU)
 
         assert [dict(c.terms) for c in series.comps] == comps
@@ -579,12 +588,10 @@ class TestNoAliasing:
     "call, message",
     [
         (lambda: symm.SymmFn("Z", GradedPolynomial.one()), "unknown basis 'Z'"),
-        (lambda: symm.sym_gen(symm.M, 2), "the monomial basis is not multiplicative"),
         (lambda: symm._gen_table(symm.M, symm.E, 3), "no conversion M -> E"),
         (lambda: symm.primitive_space(3, "BO"), "unknown model 'BO'"),
-        (lambda: symm.indecomposables(3, [0, 3]), "generator weights must be positive"),
     ],
-    ids=["symmfn-basis", "sym-gen-monomial", "gen-table-monomial", "primitive-model", "indecomposable-weight"],
+    ids=["symmfn-basis", "gen-table-monomial", "primitive-model"],
 )
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
@@ -593,4 +600,3 @@ def test_input_checks(call, message):
 
 def test_weight_zero_is_empty():
     assert symm.primitive_space(0) == [] and symm.primitive_space(-1, symm.BU) == []
-    assert symm.indecomposables(0) == (0, [])
