@@ -51,10 +51,8 @@ def _check_primitives(degree):
         if len(basis) != want:
             return "fail", "weight %d: dim %d, want %d" % (k, len(basis), want)
         if want:
-            nk = symm.convert(
-                symm.SymmFn(symm.P, GradedPolynomial.generator("N", k)), symm.E
-            ).value
-            v = basis[0].value
+            nk = symm.convert(GradedPolynomial.generator("N", k), symm.E)
+            v = basis[0]
             # proportionality: v and nk must be parallel
             mon = next(iter(nk.terms))
             ratio = divide(v.coefficient(mon), nk.coefficient(mon))

@@ -245,16 +245,6 @@ class GradedPolynomial(LinearCombination):
             n >>= 1
         return result
 
-    def truncate(self, cap):
-        return GradedPolynomial(
-            {m: c for m, c in self.terms.items() if monomial_degree(m) <= cap}
-        )
-
-    def homogeneous_part(self, d):
-        return GradedPolynomial(
-            {m: c for m, c in self.terms.items() if monomial_degree(m) == d}
-        )
-
     def max_degree(self):
         """Largest total degree of a term; -1 for the zero polynomial."""
         if not self.terms:

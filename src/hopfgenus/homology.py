@@ -133,9 +133,6 @@ class TorTable:
     dims: dict = field(hash=False)
     bound: int
 
-    def dimension(self, s, t):
-        return self.dims.get((s, t), 0)
-
     def total_series(self):
         out = [0] * (self.bound + 1)
         for (s, t), d in self.dims.items():

@@ -6,6 +6,11 @@ and M (monomial ``m``-basis, indexed by partitions).  Generator index k
 always means polynomial weight; topological degree is 2k and never
 appears in this module.
 
+A symmetric function is a plain ``GradedPolynomial``, and its generator
+family names its basis (``FAMILY``).  A constant is the same in every
+basis; a polynomial that mixes families, or uses a family that names no
+basis, raises ``ValueError`` wherever a basis is read off it.
+
 The generating-function identities implemented here:
 
     sum_k c_k = prod_i exp((-1)^i N_{i+1} / (i+1))
@@ -17,7 +22,6 @@ The quotient form of the d-series is the definition; the exp-product
 form is a cross-check run by the identity checker.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -38,48 +42,10 @@ E, P, H, M = "E", "P", "H", "M"
 BASES = (E, P, H, M)
 
 FAMILY = {E: "c", P: "N", H: "h", M: "m"}
+_BASIS = {fam: basis for basis, fam in FAMILY.items()}
 
 BU = "BU"
 BU_MOD_SO = "BUmodSO"
-
-
-@dataclass(frozen=True)
-class SymmFn:
-    """A symmetric function expressed in one named basis."""
-
-    basis: str
-    value: GradedPolynomial
-
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError("unknown basis %r" % self.basis)
-
-    def __add__(self, other):
-        if other.basis != self.basis:
-            other = convert(other, self.basis)
-        return SymmFn(self.basis, self.value + other.value)
-
-    def __sub__(self, other):
-        if other.basis != self.basis:
-            other = convert(other, self.basis)
-        return SymmFn(self.basis, self.value - other.value)
-
-    def __mul__(self, other):
-        if isinstance(other, SymmFn):
-            a, b = self, other
-            if a.basis == M:
-                a = convert(a, P)
-            if b.basis == M:
-                b = convert(b, P)
-            if b.basis != a.basis:
-                b = convert(b, a.basis)
-            return SymmFn(a.basis, a.value * b.value)
-        return SymmFn(self.basis, self.value * other)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymmFn):
-            return NotImplemented
-        return self.basis == other.basis and self.value == other.value
 
 
 def partitions(n, max_part=None):
@@ -245,17 +211,31 @@ def _from_m(poly_in_m):
     return GradedPolynomial(out)
 
 
-def convert(f, target):
-    """Change of basis; round trips are exact."""
-    if f.basis == target:
-        return f
-    if f.basis == M:
-        in_p = _from_m(f.value)
-        return convert(SymmFn(P, in_p), target)
+def _basis_of(poly):
+    """The basis that the generator family of ``poly`` names; None for a constant."""
+    families = {gid_family(gid) for mon in poly.terms for gid, _ in mon}
+    if not families:
+        return None
+    if len(families) > 1:
+        raise ValueError("generator families %s mix bases" % ", ".join(sorted(families)))
+    (family,) = families
+    if family not in _BASIS:
+        raise ValueError("generator family %s names no basis" % family)
+    return _BASIS[family]
+
+
+def convert(poly, target):
+    """Change of basis; round trips are exact and a constant comes back as it is."""
+    if target not in BASES:
+        raise ValueError("unknown basis %r" % target)
+    src = _basis_of(poly)
+    if src is None or src == target:
+        return poly
+    if src == M:
+        poly, src = _from_m(poly), P
     if target == M:
-        in_p = _convert_multiplicative(f.value, f.basis, P)
-        return SymmFn(M, _to_m(in_p))
-    return SymmFn(target, _convert_multiplicative(f.value, f.basis, target))
+        return _to_m(_convert_multiplicative(poly, src, P))
+    return _convert_multiplicative(poly, src, target)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +325,9 @@ def _tensor_pair(mon):
     return tuple(left), tuple(right)
 
 
-def coproduct(f):
+def coproduct(poly):
     """Coproduct in the E basis, its terms keyed by (left, right) pairs of E-monomials."""
-    poly = convert(f, E).value
+    poly = convert(poly, E)
     images = {gid: _coproduct_c(gid_index(gid)) for mon in poly.terms for gid, _ in mon}
     delta = poly.substitute(images)
     return LinearCombination({_tensor_pair(mon): c for mon, c in delta.terms.items()})
@@ -362,10 +342,10 @@ def _primitive_defect(delta, terms):
     return defect
 
 
-def is_primitive(f):
+def is_primitive(poly):
     """True iff Delta f = f (x) 1 + 1 (x) f exactly."""
-    f = convert(f, E)
-    return not _primitive_defect(coproduct(f).terms, f.value.terms)
+    poly = convert(poly, E)
+    return not _primitive_defect(coproduct(poly).terms, poly.terms)
 
 
 def primitive_space(k, model=BU_MOD_SO):
@@ -390,7 +370,7 @@ def primitive_space(k, model=BU_MOD_SO):
         if model == BU or all(p % 2 == 1 for p in lam)
     ]
     return [
-        convert(SymmFn(P, GradedPolynomial({mon: 1})), E)
+        convert(GradedPolynomial({mon: 1}), E)
         for mon in mons
         if not _primitive_defect(_coproduct_p_monomial(mon), {mon: 1})
     ]

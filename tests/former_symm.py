@@ -39,7 +39,7 @@ def _coproduct_c(n):
 def coproduct(f):
     f = symm.convert(f, symm.E)
     result = {}
-    for mon, coeff in f.value.terms.items():
+    for mon, coeff in f.terms.items():
         t = HopfTensor({((), ()): coeff})
         for gid, e in mon:
             dc = _coproduct_c(gid_index(gid))

@@ -40,8 +40,27 @@ def test_run_all_refuses_bad_input(kwargs, message):
         acceptance.run_all(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "cid, name, weight, degree, status, detail",
+    [
+        (1, "d_class_mismatch", 7, 30, "fail", "first mismatch at weight 7"),
+        (1, None, None, 29, "skipped", "needs truncation degree 30, have 29"),
+        (2, "a_class_mismatch", 3, 30, "fail", "a_3 has a linear part"),
+        (2, "a_class_mismatch", 4, 30, "fail", "a_4 linear part is not 2 b_4"),
+        (2, None, None, 12, "skipped", "needs truncation degree 13, have 12"),
+    ],
+    ids=["d-mismatch", "d-skipped", "a-odd", "a-even", "a-skipped"],
+)
+def test_class_criteria_can_fail(monkeypatch, cid, name, weight, degree, status, detail):
+    # criteria 1 and 2 with the weight their symm check reports seeded
+    if name is not None:
+        monkeypatch.setattr(symm, name, lambda D: weight)
+    (result,) = acceptance.run_all(degree, only={cid})
+    assert (result["status"], result["detail"]) == (status, detail)
+
+
 def _c(k):
-    return symm.SymmFn(symm.E, GradedPolynomial.generator("c", k))
+    return GradedPolynomial.generator("c", k)
 
 
 def _extra_vector(real):

@@ -18,6 +18,7 @@ from hopfgenus.core import (
     parse_polynomial,
 )
 from hopfgenus.rational import Q
+from test_packed_series import homogeneous_part
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +202,7 @@ def _chern_images(model, conjugate=False, upto=None):
         upto = model.dim_c
     images = {}
     for i in range(1, upto + 1):
-        cls = model.total_chern.homogeneous_part(2 * i)
+        cls = homogeneous_part(model.total_chern, 2 * i)
         if conjugate and i % 2 == 1:
             cls = cls * Q(-1)
         images[gen_id("c", i)] = cls
@@ -211,7 +212,7 @@ def _chern_images(model, conjugate=False, upto=None):
 def _newton_class_via_e(model, k, conjugate=False):
     """Test-only copy of the former N_k(tau): N_k converted to the Chern
     basis, specialized to the model's Chern data and reduced."""
-    in_e = symm.convert(symm.SymmFn(symm.P, GradedPolynomial.generator("N", k)), symm.E).value
+    in_e = symm.convert(GradedPolynomial.generator("N", k), symm.E)
     return model.reduce(in_e.substitute(_chern_images(model, conjugate, upto=k)))
 
 
@@ -250,7 +251,7 @@ def _class_via_p_series(model, q_series):
     images = _chern_images(model)
     total = {}
     for comp in TruncatedSeries(arg).exp().comps:
-        in_e = symm.convert(symm.SymmFn(symm.P, comp), symm.E).value
+        in_e = symm.convert(comp, symm.E)
         add_into(total, model.reduce(in_e.substitute(images)).terms)
     return model.reduce(GradedPolynomial(total))
 

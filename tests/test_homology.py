@@ -120,7 +120,7 @@ class TestTorViaBar:
 
     def test_connectedness_invariant(self):
         table = H.tor_via_bar(H.exterior_algebra([5, 9], 20), 20)
-        assert table.dimension(0, 0) == 1
+        assert table.dims.get((0, 0)) == 1
         assert all(t == 0 or s > 0 for (s, t), d in table.dims.items() if d)
 
     def test_truncation_guard(self):

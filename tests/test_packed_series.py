@@ -366,6 +366,15 @@ class TestHomogeneity:
             self._bad().inverse()
 
 
+def _part(poly, keep):
+    return GradedPolynomial({m: c for m, c in poly.terms.items() if keep(monomial_degree(m))})
+
+
+def homogeneous_part(poly, d):
+    """The terms of ``poly`` of total degree d: the oracle for a series' components."""
+    return _part(poly, lambda deg: deg == d)
+
+
 def test_from_polynomial_buckets_by_degree():
     rng = random.Random(5)
     for _ in range(20):
@@ -376,8 +385,8 @@ def test_from_polynomial_buckets_by_degree():
         poly = GradedPolynomial(terms)
         bound = rng.randint(0, 9)
         s = TruncatedSeries.from_polynomial(poly, bound)
-        assert s.comps == [poly.homogeneous_part(d) for d in range(bound + 1)]
-        assert s.polynomial() == poly.truncate(bound)
+        assert s.comps == [homogeneous_part(poly, d) for d in range(bound + 1)]
+        assert s.polynomial() == _part(poly, lambda deg: deg <= bound)
 
 
 # ---------------------------------------------------------------------------
